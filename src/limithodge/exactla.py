@@ -6,27 +6,41 @@ scalars are ``a + b*i`` with ``fractions.Fraction`` components, and no
 rounding ever occurs.  Subspace equality is decidable because bases are
 kept in a canonical form (reduced column echelon, pivots on the first
 nonzero coordinate of each basis vector).
+
+The arithmetic kernels (row reduction, products, projections) run on
+Python ints: a matrix is also kept as a common denominator over integer
+numerators, split into real and imaginary parts, and rows are reduced
+fraction-free with their content divided out.  Fractions appear only
+where a result is handed back as :class:`Scalar` entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
 RatLike = Union[int, str, Fraction]
 ScalarLike = Union["Scalar", int, str, Fraction]
+
+_FZERO = Fraction(0)
 
 
 def _rat(x: RatLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        return _FZERO if x == 0 else Fraction(x)
     raise TypeError(f"not a rational value: {x!r}")
 
 
 class Scalar:
-    """A Gaussian rational ``re + im*i`` with exact arithmetic."""
+    """A Gaussian rational ``re + im*i`` with exact arithmetic.
+
+    Products and sums of two real scalars skip the imaginary parts.
+    """
 
     __slots__ = ("re", "im")
 
@@ -37,29 +51,39 @@ class Scalar:
     # -- arithmetic -------------------------------------------------
     def __add__(self, other: ScalarLike) -> "Scalar":
         o = scalar(other)
-        return Scalar(self.re + o.re, self.im + o.im)
+        if self.im or o.im:
+            return _make(self.re + o.re, self.im + o.im)
+        return _make(self.re + o.re)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
         o = scalar(other)
-        return Scalar(self.re - o.re, self.im - o.im)
+        if self.im or o.im:
+            return _make(self.re - o.re, self.im - o.im)
+        return _make(self.re - o.re)
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
         return scalar(other) - self
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
         o = scalar(other)
-        return Scalar(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        if not b:
+            return _make(a * c, a * d) if d else _make(a * c)
+        if not d:
+            return _make(a * c, b * c)
+        return _make(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
+        if not self.im:
+            if not self.re:
+                raise ZeroDivisionError("inverse of zero scalar")
+            return _make(1 / self.re)
         n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero scalar")
-        return Scalar(self.re / n, -self.im / n)
+        return _make(self.re / n, -self.im / n)
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
         return self * scalar(other).inv()
@@ -68,10 +92,10 @@ class Scalar:
         return scalar(other) * self.inv()
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def conj(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _make(self.re, -self.im)
 
     # -- predicates / hashing ---------------------------------------
     def __bool__(self) -> bool:
@@ -98,6 +122,14 @@ class Scalar:
         return f"({self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i)"
 
 
+def _make(re: Fraction, im: Fraction = _FZERO) -> Scalar:
+    """A Scalar from two Fractions, without coercion."""
+    s = object.__new__(Scalar)
+    s.re = re
+    s.im = im
+    return s
+
+
 def scalar(x: ScalarLike) -> Scalar:
     """Coerce an int, string, Fraction, or Scalar to a Scalar."""
     if isinstance(x, Scalar):
@@ -108,15 +140,234 @@ def scalar(x: ScalarLike) -> Scalar:
 ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
+_MINUS_ONE = Scalar(-1)
+
+
+# ----------------------------------------------------------------------
+# integer forms
+#
+# An integer form is (den, re, im): integer rows ``re`` and ``im`` (None
+# when every imaginary part is zero) with ``entries == (re + i*im)/den``.
+
+
+def _int_form(rows: Sequence[Sequence[Scalar]]) -> tuple[int, list, list | None]:
+    """Common positive denominator and integer numerator rows of Scalar rows.
+
+    The shared ``ZERO`` and zero-Fraction objects are recognised by
+    identity first, which skips most Fraction calls on sparse rows.
+    """
+    den = 1
+    gaussian = False
+    for row in rows:
+        for a in row:
+            if a is ZERO:
+                continue
+            d = a.re.denominator
+            if d != 1:
+                den = lcm(den, d)
+            if a.im is not _FZERO and a.im:
+                gaussian = True
+                d = a.im.denominator
+                if d != 1:
+                    den = lcm(den, d)
+    if den == 1:
+        re = [[0 if a is ZERO else a.re.numerator for a in row] for row in rows]
+    else:
+        re = [[0 if a is ZERO else a.re.numerator * (den // a.re.denominator) for a in row]
+              for row in rows]
+    im = None
+    if gaussian:
+        im = [[0 if a is ZERO else a.im.numerator * (den // a.im.denominator) for a in row]
+              for row in rows]
+    return den, re, im
+
+
+def _vector_form(v: Sequence[ScalarLike]) -> tuple[int, list[int], list[int] | None]:
+    den, re, im = _int_form([[x if type(x) is Scalar else scalar(x) for x in v]])
+    return den, re[0], None if im is None else im[0]
+
+
+def _scalar_row(den: int, re: Sequence[int], im: Sequence[int] | None) -> tuple[Scalar, ...]:
+    """Scalars (re + i*im)/den of one integer row; zeros are the shared ``ZERO``."""
+    if im is None:
+        if den == 1:
+            return tuple([_make(Fraction(x)) if x else ZERO for x in re])
+        return tuple([_make(Fraction(x, den)) if x else ZERO for x in re])
+    return tuple([_make(Fraction(x, den), Fraction(y, den)) if y
+                  else _make(Fraction(x, den)) if x else ZERO for x, y in zip(re, im)])
+
+
+def _imatmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], width: int) -> list[list[int]]:
+    """Integer matrix product, accumulating rows of B over the nonzero entries of A."""
+    out = []
+    for arow in A:
+        acc = [0] * width
+        for a, brow in zip(arow, B):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, brow)]
+        out.append(acc)
+    return out
+
+
+def _imatvec(A: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
+    return [sum(map(mul, row, v)) for row in A]
+
+
+def _combine(x: list | None, y: list | None, sign: int = 1) -> list | None:
+    """x + sign*y on (possibly nested) integer lists, with None as zero."""
+    if y is None:
+        return x
+    if x is None:
+        return y if sign == 1 else _scaled(y, -1)
+    if x and isinstance(x[0], list):
+        return [_combine(a, b, sign) for a, b in zip(x, y)]
+    return [a + sign * b for a, b in zip(x, y)]
+
+
+def _scaled(x: list, c: int) -> list:
+    if x and isinstance(x[0], list):
+        return [[c * a for a in row] for row in x]
+    return [c * a for a in x]
+
+
+def _gaussian_product(f, ar, ai, br, bi):
+    """(ar + i*ai)(br + i*bi) for an integer bilinear product f; None parts are zero."""
+    re = f(ar, br)
+    if ai is not None and bi is not None:
+        re = _combine(re, f(ai, bi), -1)
+    im = None
+    if bi is not None:
+        im = f(ar, bi)
+    if ai is not None:
+        im = _combine(im, f(ai, br))
+    return re, im
+
+
+# ----------------------------------------------------------------------
+# fraction-free elimination
+
+
+def _eliminate(m: list, gaussian: bool) -> tuple[list[int], list]:
+    """Gauss-Jordan elimination on integer rows, in place.
+
+    Rows are lists of ints, or ``(re, im)`` pairs of int lists when
+    ``gaussian``.  A row operation replaces a row by ``a*row - b*pivot_row``
+    (a, b the pivot entry and the row's entry over their gcd) and then
+    divides out the content (gcd of all entries), so no fraction is ever
+    formed and entries stay small.  Returns ``(pivots, scales)``: the
+    first ``len(pivots)`` rows are the pivot rows, each zero at every
+    other pivot column, and the determinant of ``m`` has been multiplied
+    by the product of ``a/content`` over ``scales`` (``a`` an int or an
+    ``(re, im)`` pair), times -1 per row swap (recorded as ``(-1, 1)``).
+    """
+    nrows = len(m)
+    ncols = (len(m[0][0]) if gaussian else len(m[0])) if m else 0
+    pivots: list[int] = []
+    scales: list = []
+    r = 0
+    for c in range(ncols):
+        if gaussian:
+            pr = next((i for i in range(r, nrows) if m[i][0][c] or m[i][1][c]), None)
+        else:
+            pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            scales.append((-1, 1))
+        if gaussian:
+            vre, vim = m[r]
+            pre, pim = vre[c], vim[c]
+            for i in range(nrows):
+                ure, uim = m[i]
+                fre, fim = ure[c], uim[c]
+                if i == r or not (fre or fim):
+                    continue
+                g = gcd(pre, pim, fre, fim)
+                are, aim, bre, bim = pre // g, pim // g, fre // g, fim // g
+                nre = [are * x - aim * y - bre * s + bim * t
+                       for x, y, s, t in zip(ure, uim, vre, vim)]
+                nim = [are * y + aim * x - bre * t - bim * s
+                       for x, y, s, t in zip(ure, uim, vre, vim)]
+                h = gcd(*nre, *nim)
+                if h > 1:
+                    nre = [x // h for x in nre]
+                    nim = [x // h for x in nim]
+                m[i] = (nre, nim)
+                scales.append(((are, aim), h or 1))
+        else:
+            prow = m[r]
+            p = prow[c]
+            for i in range(nrows):
+                row = m[i]
+                f = row[c]
+                if i == r or not f:
+                    continue
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(row, prow)]
+                h = gcd(*new)
+                if h > 1:
+                    new = [x // h for x in new]
+                m[i] = new
+                scales.append((a, h or 1))
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots, scales
+
+
+def _primitive_rows(rows: Sequence[Sequence[Scalar]]) -> tuple[list, bool]:
+    """Each row scaled to integers with content 1, in the form ``_eliminate`` takes."""
+    forms = [_int_form([row]) for row in rows]
+    gaussian = any(im is not None for _, _, im in forms)
+    out = []
+    for _, (re,), im in forms:
+        im = [0] * len(re) if im is None else im[0]
+        h = gcd(*re, *im) if gaussian else gcd(*re)
+        if h > 1:
+            re = [x // h for x in re]
+            im = [x // h for x in im]
+        out.append((re, im) if gaussian else re)
+    return out, gaussian
+
+
+def _row_reduce(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
+    """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
+
+    Elimination is fraction-free on primitive integer rows; fractions
+    appear only when each pivot row is finally divided by its pivot.
+    The reduced echelon form is unique, so the result is the one exact
+    Gauss-Jordan elimination over Q[i] gives.
+    """
+    m, gaussian = _primitive_rows(rows)
+    pivots, _ = _eliminate(m, gaussian)
+    out = []
+    for row, c in zip(m, pivots):
+        if gaussian:
+            re, im = row
+            pre, pim = re[c], im[c]
+            n = pre * pre + pim * pim
+            out.append(list(_scalar_row(n, [x * pre + y * pim for x, y in zip(re, im)],
+                                        [y * pre - x * pim for x, y in zip(re, im)])))
+        else:
+            out.append(list(_scalar_row(row[c], row, None)))
+    return out, pivots
 
 
 class ExactMatrix:
-    """A dense matrix of :class:`Scalar` entries, row-major, immutable."""
+    """A dense matrix of :class:`Scalar` entries, row-major, immutable.
 
-    __slots__ = ("rows", "cols", "entries")
+    The integer form used by the arithmetic kernels is computed on first
+    use and cached.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_ints")
 
     def __init__(self, entries: Iterable[Iterable[ScalarLike]], cols: int | None = None):
-        grid = tuple(tuple(scalar(e) for e in row) for row in entries)
+        grid = tuple(tuple([e if type(e) is Scalar else scalar(e) for e in row])
+                     for row in entries)
         self.rows = len(grid)
         if grid:
             self.cols = len(grid[0])
@@ -127,6 +378,32 @@ class ExactMatrix:
         if cols is not None and self.cols != cols:
             raise ValueError("column count mismatch")
         self.entries = grid
+        self._ints = None
+
+    @staticmethod
+    def _from_ints(cols: int, den: int, re: list[list[int]],
+                   im: list[list[int]] | None) -> "ExactMatrix":
+        """The matrix (re + i*im)/den, with its integer form reduced to lowest terms."""
+        if im is not None and not any(map(any, im)):
+            im = None
+        g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im or ()))
+        if g > 1:
+            den //= g
+            re = [[x // g for x in row] for row in re]
+            if im is not None:
+                im = [[x // g for x in row] for row in im]
+        M = object.__new__(ExactMatrix)
+        M.rows = len(re)
+        M.cols = cols
+        M.entries = tuple(_scalar_row(den, row, None if im is None else im[i])
+                          for i, row in enumerate(re))
+        M._ints = (den, re, im)
+        return M
+
+    def _int_form(self) -> tuple[int, list[list[int]], list[list[int]] | None]:
+        if self._ints is None:
+            self._ints = _int_form(self.entries)
+        return self._ints
 
     # -- constructors ----------------------------------------------
     @staticmethod
@@ -171,55 +448,48 @@ class ExactMatrix:
         return self.entries[i]
 
     # -- algebra -----------------------------------------------------
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+    def _plus(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
         self._same_shape(other)
-        return ExactMatrix([[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.entries, other.entries)], cols=self.cols)
+        da, ra, ia = self._int_form()
+        db, rb, ib = other._int_form()
+        den = lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        re = _combine(_scaled(ra, sa), _scaled(rb, sb))
+        im = _combine(None if ia is None else _scaled(ia, sa),
+                      None if ib is None else _scaled(ib, sb))
+        return ExactMatrix._from_ints(self.cols, den, re, im)
+
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._same_shape(other)
-        return ExactMatrix([[a - b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.entries, other.entries)], cols=self.cols)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "ExactMatrix":
         return ExactMatrix([[-a for a in r] for r in self.entries], cols=self.cols)
 
     def scale(self, c: ScalarLike) -> "ExactMatrix":
-        c = scalar(c)
-        return ExactMatrix([[c * a for a in r] for r in self.entries], cols=self.cols)
+        dc, (cre,), cim = _vector_form([c])
+        den, re, im = self._int_form()
+        re, im = _gaussian_product(_scaled, re, im, cre, None if cim is None else cim[0])
+        return ExactMatrix._from_ints(self.cols, den * dc, re, im)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ocols = other.cols
-        out = []
-        for i in range(self.rows):
-            srow = self.entries[i]
-            orow = []
-            for j in range(ocols):
-                acc = ZERO
-                for k in range(self.cols):
-                    a = srow[k]
-                    if a:
-                        acc = acc + a * other.entries[k][j]
-                orow.append(acc)
-            out.append(orow)
-        return ExactMatrix(out, cols=ocols)
+        da, ra, ia = self._int_form()
+        db, rb, ib = other._int_form()
+        width = other.cols
+        re, im = _gaussian_product(lambda A, B: _imatmul(A, B, width), ra, ia, rb, ib)
+        return ExactMatrix._from_ints(width, da * db, re, im)
 
     def apply(self, v: Sequence[ScalarLike]) -> tuple[Scalar, ...]:
         """Matrix-vector product as a tuple."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        vv = [scalar(x) for x in v]
-        out = []
-        for i in range(self.rows):
-            acc = ZERO
-            row = self.entries[i]
-            for k in range(self.cols):
-                if row[k] and vv[k]:
-                    acc = acc + row[k] * vv[k]
-            out.append(acc)
-        return tuple(out)
+        dv, vre, vim = _vector_form(v)
+        den, re, im = self._int_form()
+        return _scalar_row(den * dv, *_gaussian_product(_imatvec, re, im, vre, vim))
 
     def power(self, k: int) -> "ExactMatrix":
         if self.rows != self.cols:
@@ -248,6 +518,9 @@ class ExactMatrix:
         return self @ other - other @ self
 
     def is_zero(self) -> bool:
+        if self._ints is not None:
+            _, re, im = self._ints
+            return not any(map(any, re)) and (im is None or not any(map(any, im)))
         return all(not a for r in self.entries for a in r)
 
     def trace(self) -> Scalar:
@@ -271,35 +544,6 @@ class ExactMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(repr(a) for a in r) for r in self.entries)
         return f"ExactMatrix[{self.rows}x{self.cols}: {body}]"
-
-
-def _row_reduce(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inv()
-        m[r] = [e * inv for e in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
 
 
 class Subspace:
@@ -362,25 +606,35 @@ class Subspace:
     def basis_columns(self) -> list[tuple[Scalar, ...]]:
         return self.basis.columns()
 
+    def _residual(self, v: Sequence[ScalarLike]) -> tuple[int, list[int], list[int] | None]:
+        """Integer form of ``w - B*(w at the pivots)``, B the canonical basis.
+
+        A canonical basis vector is 1 at its own pivot and 0 at every
+        other pivot, so this is the residual of subtracting the
+        canonical projection: zero at all pivot coordinates, and zero
+        exactly when v lies in the subspace.
+        """
+        dw, wre, wim = _vector_form(v)
+        if len(wre) != self.ambient_dim:
+            raise ValueError("vector length mismatch")
+        db, bre, bim = self.basis._int_form()
+        cre = [wre[p] for p in self._pivots]
+        cim = None if wim is None else [wim[p] for p in self._pivots]
+        pre, pim = _gaussian_product(_imatvec, bre, bim, cre, cim)
+        return (dw * db, _combine(_scaled(wre, db), pre, -1),
+                _combine(None if wim is None else _scaled(wim, db), pim, -1))
+
     def reduce_mod(self, v: Sequence[ScalarLike]) -> tuple[Scalar, ...]:
         """Subtract the canonical projection onto this subspace.
 
-        Exploits that a canonical basis vector is 1 at its own pivot
-        and 0 at every other pivot, so the residual has zeros at all
-        pivot coordinates.  For v in the subspace the residual is 0.
+        The residual has zeros at all pivot coordinates; for v in the
+        subspace it is 0.
         """
-        w = [scalar(x) for x in v]
-        if len(w) != self.ambient_dim:
-            raise ValueError("vector length mismatch")
-        for j, p in enumerate(self._pivots):
-            c = w[p]
-            if c:
-                col = self.basis.column(j)
-                w = [a - c * b for a, b in zip(w, col)]
-        return tuple(w)
+        return _scalar_row(*self._residual(v))
 
     def contains_vector(self, v: Sequence[ScalarLike]) -> bool:
-        return all(not a for a in self.reduce_mod(v))
+        _, re, im = self._residual(v)
+        return not any(re) and (im is None or not any(im))
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -391,7 +645,7 @@ class Subspace:
         """Coordinates of v in the canonical basis (v must lie in the subspace)."""
         w = [scalar(x) for x in v]
         coords = tuple(w[p] for p in self._pivots)
-        if not all(not a for a in self.reduce_mod(w)):
+        if not self.contains_vector(w):
             raise ValueError("vector not in subspace")
         return coords
 
@@ -418,10 +672,11 @@ def kernel(M: ExactMatrix) -> Subspace:
     free = [c for c in range(M.cols) if c not in pivot_set]
     gens = []
     for f in free:
+        # -(e_f - sum_r red[r][f] e_{p_r}): the same span, without negating entries
         v = [ZERO] * M.cols
-        v[f] = ONE
+        v[f] = _MINUS_ONE
         for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
+            v[p] = red[r][f]
         gens.append(v)
     return Subspace.from_columns(M.cols, gens)
 
@@ -436,8 +691,8 @@ def intersect(A: Subspace, B: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     if A.dim == 0 or B.dim == 0:
         return Subspace.zero(A.ambient_dim)
-    stacked = A.basis.hstack(-B.basis)
-    ker = kernel(stacked)
+    # Ax = -By and Ax = By have the same solutions x up to the sign of y
+    ker = kernel(A.basis.hstack(B.basis))
     gens = []
     for col in ker.basis_columns():
         x = col[:A.dim]
@@ -457,8 +712,7 @@ def preimage(M: ExactMatrix, B: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     if B.dim == 0:
         return kernel(M)
-    stacked = M.hstack(-B.basis)
-    ker = kernel(stacked)
+    ker = kernel(M.hstack(B.basis))  # Mv = By for some y, up to the sign of y
     gens = [col[:M.cols] for col in ker.basis_columns()]
     return Subspace.from_columns(M.cols, gens)
 
@@ -501,28 +755,37 @@ def rank(M: ExactMatrix) -> int:
     return len(pivots)
 
 
+def _gaussian_int_product(values: Iterable) -> tuple[int, int]:
+    """Product of ints and (re, im) int pairs, as an (re, im) pair."""
+    re, im = 1, 0
+    for v in values:
+        if isinstance(v, tuple):
+            re, im = re * v[0] - im * v[1], re * v[1] + im * v[0]
+        else:
+            re, im = re * v, im * v
+    return re, im
+
+
 def determinant(M: ExactMatrix) -> Scalar:
-    """Exact determinant via Gaussian elimination with row swaps."""
+    """Exact determinant by the fraction-free elimination of :func:`_row_reduce`.
+
+    Elimination scales the determinant by the recorded row factors and
+    leaves a diagonal matrix of pivots, so det = prod(pivots) / (prod
+    of factors * den**n) for the integer form ``(numerators)/den``.
+    """
     if M.rows != M.cols:
         raise ValueError("determinant of a non-square matrix")
-    rows = [list(r) for r in M.entries]
     n = M.rows
-    det = ONE
-    for c in range(n):
-        pivot_row = next((r for r in range(c, n) if rows[r][c]), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            det = -det
-        det = det * rows[c][c]
-        inv = rows[c][c].inv()
-        for r in range(c + 1, n):
-            if not rows[r][c]:
-                continue
-            factor = rows[r][c] * inv
-            rows[r] = [rows[r][j] - factor * rows[c][j] for j in range(n)]
-    return det
+    den, re, im = M._int_form()
+    gaussian = im is not None
+    m = [(list(a), list(b)) for a, b in zip(re, im)] if gaussian else [list(a) for a in re]
+    pivots, scales = _eliminate(m, gaussian)
+    if len(pivots) < n:
+        return ZERO
+    diag = [(row[0][c], row[1][c]) if gaussian else row[c] for row, c in zip(m, pivots)]
+    num = _gaussian_int_product(chain(diag, (h for _, h in scales)))
+    dden = _gaussian_int_product(chain((a for a, _ in scales), [den ** n]))
+    return Scalar(num[0], num[1]) / Scalar(dden[0], dden[1])
 
 
 def inverse(M: ExactMatrix) -> ExactMatrix:

@@ -34,7 +34,10 @@ AlphaBasis = dict[tuple[int, int], Vector]
 # Weight filtrations are recomputed for every section of a frame, always
 # from the same couple of operators, and dominate the running time of
 # class bookkeeping; matrices are immutable and hashable, so cache them.
-_weight_filtration = lru_cache(maxsize=512)(monodromy_weight_filtration)
+# One computation on a datum asks for at most three distinct operators
+# (N1, N1+N2 and, for End data, the ad-operators); the cap keeps those
+# hits while bounding what a long run holds on to.
+_weight_filtration = lru_cache(maxsize=32)(monodromy_weight_filtration)
 
 
 @dataclass(frozen=True)

@@ -183,7 +183,7 @@ def classify_l2(component, n1: int, n2: int, l1: int, l2: int) -> L2Verdict:
 Piece = tuple[int, int, tuple[tuple[Scalar, ...], ...]]
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=8)  # one datum at a time; a small cap bounds what a long run holds
 def _bilevel_pieces(n1: ExactMatrix, n2: ExactMatrix) -> tuple[Piece, ...]:
     """Canonical generators of the double grading by (W(N₁), W(N₁+N₂)).
 

@@ -20,10 +20,11 @@ def rational_to_json(x: Fraction) -> str:
 
 
 def rational_from_json(s: Any) -> Fraction:
-    if isinstance(s, str):
-        return Fraction(s)
-    if isinstance(s, int):
-        return Fraction(s)
+    if isinstance(s, (str, int)):
+        try:
+            return Fraction(s)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in rational {s!r}") from exc
     raise ValueError(f"not a serialized rational: {s!r}")
 
 

@@ -73,11 +73,23 @@ class WeightFiltration:
         return self.center == other.center and self.filtration == other.filtration
 
 
-def nilpotency_check(N: ExactMatrix) -> None:
+def _nilpotent_powers(N: ExactMatrix) -> list[ExactMatrix]:
+    """[N^0, N^1, ..., N^e] up to the first zero power N^e.
+
+    Raises NotNilpotent when N^dim is not zero.
+    """
     if N.rows != N.cols:
         raise ValueError("nilpotent endomorphism must be square")
-    if not N.power(N.rows).is_zero():
-        raise NotNilpotent(f"matrix of size {N.rows} does not power to zero")
+    powers = [ExactMatrix.identity(N.rows)]
+    while not powers[-1].is_zero():
+        if len(powers) > N.rows:
+            raise NotNilpotent(f"matrix of size {N.rows} does not power to zero")
+        powers.append(powers[-1] @ N)
+    return powers
+
+
+def nilpotency_check(N: ExactMatrix) -> None:
+    _nilpotent_powers(N)
 
 
 def monodromy_weight_filtration(N: ExactMatrix, center: int = 0) -> WeightFiltration:
@@ -90,11 +102,8 @@ def monodromy_weight_filtration(N: ExactMatrix, center: int = 0) -> WeightFiltra
     returning; AxiomFailure is raised if verification fails, so a
     returned filtration is always certified.
     """
-    nilpotency_check(N)
+    powers = _nilpotent_powers(N)
     d = N.rows
-    powers = [ExactMatrix.identity(d)]
-    while not powers[-1].is_zero():
-        powers.append(powers[-1] @ N)
     nilindex = len(powers) - 1  # smallest e with N^e = 0
 
     def power(e: int) -> ExactMatrix:
@@ -120,13 +129,14 @@ def monodromy_weight_filtration(N: ExactMatrix, center: int = 0) -> WeightFiltra
         if acc.dim == d:
             break
     filt = Filtration(d, Filtration.INCREASING, steps)
-    _verify_weight_axioms(N, filt, center=0)
+    _verify_weight_axioms(N, filt, 0, powers)
     w = WeightFiltration(filt, N, 0)
     return w if center == 0 else w.recenter(center)
 
 
-def _verify_weight_axioms(N: ExactMatrix, filt: Filtration, center: int) -> None:
-    d = N.rows
+def _verify_weight_axioms(N: ExactMatrix, filt: Filtration, center: int,
+                          powers: Sequence[ExactMatrix]) -> None:
+    """Both axioms, given ``powers`` = [N^0, ..., N^e] ending at the first zero power."""
     lo = min(filt.indices()) - 1
     hi = max(filt.indices()) + 1
     for l in range(lo, hi + 1):
@@ -142,7 +152,7 @@ def _verify_weight_axioms(N: ExactMatrix, filt: Filtration, center: int) -> None
             raise AxiomFailure(f"graded dims differ at +-{l} about the center")
         if g_src == 0:
             continue
-        m = induced_map_on_graded(N.power(l), filt, src, shift=tgt - src)
+        m = induced_map_on_graded(powers[min(l, len(powers) - 1)], filt, src, shift=tgt - src)
         if rank(m) != g_src:
             raise AxiomFailure(f"N^{l} is not an isomorphism Gr_{src} -> Gr_{tgt}")
 

@@ -343,6 +343,16 @@ def test_unparseable_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_zero_denominator_entry_exits_2(tmp_path, capsys):
+    path = _write_json(
+        tmp_path / "zero-den.json",
+        {"dimension": 2, "N1": [[0, "1/0"], [0, 0]], "N2": [[0, 0], [0, 0]]},
+    )
+    code, error = _run_error(["weight-filtration", path], capsys)
+    assert code == 2
+    assert error["kind"] == "invalid-input"
+
+
 def test_non_commuting_datum_exits_3(tmp_path, capsys):
     path = _write_json(
         tmp_path / "bad.json",

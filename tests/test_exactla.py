@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from limithodge.exactla import (
+    ZERO,
     ExactMatrix,
     Filtration,
     Scalar,
@@ -23,6 +26,7 @@ from limithodge.exactla import (
     solve,
     subspace_sum,
 )
+from limithodge.exactla import _row_reduce
 
 
 def _jordan(dim: int) -> ExactMatrix:
@@ -243,3 +247,231 @@ def test_induced_map_zero_on_single_step():
     w = Filtration.from_generators(2, Filtration.INCREASING, [(0, [[1, 0], [0, 1]])])
     block = induced_map_on_graded(ExactMatrix.zeros(2, 2), w, 0, shift=0)
     assert block.is_zero()
+
+
+# ----------------------------------------------------------------------
+# differential tests: the integer kernels against a plain Fraction
+# reference (Gauss-Jordan and products on (re, im) pairs of Fractions)
+
+Pair = tuple[Fraction, Fraction]
+_PZERO: Pair = (Fraction(0), Fraction(0))
+_PONE: Pair = (Fraction(1), Fraction(0))
+
+
+def _p(a: Scalar) -> Pair:
+    return (a.re, a.im)
+
+
+def _pmul(a: Pair, b: Pair) -> Pair:
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _psub(a: Pair, b: Pair) -> Pair:
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _pinv(a: Pair) -> Pair:
+    n = a[0] * a[0] + a[1] * a[1]
+    return (a[0] / n, -a[1] / n)
+
+
+def _nonzero(a: Pair) -> bool:
+    return a != _PZERO
+
+
+def _ref_rref(rows: list[list[Pair]]) -> tuple[list[list[Pair]], list[int]]:
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if _nonzero(m[i][c])), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = _pinv(m[r][c])
+        m[r] = [_pmul(e, inv) for e in m[r]]
+        for i in range(len(m)):
+            if i != r and _nonzero(m[i][c]):
+                f = m[i][c]
+                m[i] = [_psub(a, _pmul(f, b)) for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def _ref_matmul(A: list[list[Pair]], B: list[list[Pair]], width: int) -> list[list[Pair]]:
+    out = []
+    for arow in A:
+        row = []
+        for j in range(width):
+            acc = _PZERO
+            for a, brow in zip(arow, B):
+                p = _pmul(a, brow[j])
+                acc = (acc[0] + p[0], acc[1] + p[1])
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _ref_kernel(rows: list[list[Pair]], ncols: int) -> list[list[Pair]]:
+    """Canonical kernel basis, one list per basis vector."""
+    red, pivots = _ref_rref(rows)
+    gens = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [_PZERO] * ncols
+        v[f] = _PONE
+        for r, p in enumerate(pivots):
+            v[p] = _psub(_PZERO, red[r][f])
+        gens.append(v)
+    return _ref_rref(gens)[0]
+
+
+def _ref_det(rows: list[list[Pair]]) -> Pair:
+    m = [list(r) for r in rows]
+    det = _PONE
+    for c in range(len(m)):
+        pr = next((r for r in range(c, len(m)) if _nonzero(m[r][c])), None)
+        if pr is None:
+            return _PZERO
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            det = _psub(_PZERO, det)
+        det = _pmul(det, m[c][c])
+        inv = _pinv(m[c][c])
+        for r in range(c + 1, len(m)):
+            f = _pmul(m[r][c], inv)
+            m[r] = [_psub(a, _pmul(f, b)) for a, b in zip(m[r], m[c])]
+    return det
+
+
+def _pairs(rows) -> list[list[Pair]]:
+    return [[_p(a) for a in row] for row in rows]
+
+
+def _columns(M: ExactMatrix) -> list[list[Pair]]:
+    return [[_p(a) for a in col] for col in M.columns()]
+
+
+_small = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+_large = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30))
+_rationals = st.one_of(st.just(Fraction(0)), _small, _large)
+
+
+@st.composite
+def _matrices(draw, rows=None, cols=None) -> ExactMatrix:
+    """Rational or Gaussian matrices up to 5x5 (0xn and nx0 included), some
+    with a zero row, a zero column, or a repeated or scaled row."""
+    r = draw(st.integers(0, 5)) if rows is None else rows
+    c = draw(st.integers(0, 5)) if cols is None else cols
+    imag = _rationals if draw(st.booleans()) else st.just(Fraction(0))
+    grid = [[Scalar(draw(_rationals), draw(imag)) for _ in range(c)] for _ in range(r)]
+    if r and draw(st.booleans()):
+        grid[draw(st.integers(0, r - 1))] = [ZERO] * c
+    if c and draw(st.booleans()):
+        j = draw(st.integers(0, c - 1))
+        for row in grid:
+            row[j] = ZERO
+    if r > 1 and draw(st.booleans()):
+        i, k = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+        factor = Scalar(draw(_small), draw(imag))
+        grid[i] = [factor * a for a in grid[k]]
+    return ExactMatrix(grid, cols=c)
+
+
+_differential = settings(max_examples=100, deadline=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+@_differential
+@given(_matrices())
+def test_row_reduce_matches_reference(M):
+    red, pivots = _row_reduce([list(r) for r in M.entries])
+    ref_red, ref_pivots = _ref_rref(_pairs(M.entries))
+    assert pivots == ref_pivots
+    assert _pairs(red) == ref_red
+    assert all(type(a) is Scalar and type(a.re) is Fraction and type(a.im) is Fraction
+               for row in red for a in row)
+
+
+@_differential
+@given(st.data())
+def test_products_match_reference(data):
+    inner = data.draw(st.integers(0, 5))
+    A = data.draw(_matrices(cols=inner))
+    B = data.draw(_matrices(rows=inner))
+    C = data.draw(_matrices(rows=A.rows, cols=inner))
+    v = data.draw(st.lists(st.builds(Scalar, _rationals, _rationals), min_size=inner,
+                           max_size=inner))
+    c = data.draw(st.builds(Scalar, _rationals, _rationals))
+    assert _pairs((A @ B).entries) == _ref_matmul(_pairs(A.entries), _pairs(B.entries), B.cols)
+    assert [_p(a) for a in A.apply(v)] == [row[0] for row in _ref_matmul(
+        _pairs(A.entries), [[_p(x)] for x in v], 1)]
+    a_pairs, c_pairs = _pairs(A.entries), _pairs(C.entries)
+    assert _pairs((A + C).entries) == [[(x[0] + y[0], x[1] + y[1]) for x, y in zip(r, s)]
+                                       for r, s in zip(a_pairs, c_pairs)]
+    assert _pairs((A - C).entries) == [[_psub(x, y) for x, y in zip(r, s)]
+                                       for r, s in zip(a_pairs, c_pairs)]
+    assert _pairs(A.scale(c).entries) == [[_pmul(_p(c), x) for x in r] for r in a_pairs]
+
+
+@_differential
+@given(st.data())
+def test_reduce_mod_matches_reference(data):
+    gens = data.draw(_matrices())
+    n = gens.cols
+    V = Subspace.from_columns(n, gens.entries)
+    v = data.draw(st.lists(st.builds(Scalar, _rationals, _rationals), min_size=n, max_size=n))
+    w = [_p(a) for a in v]
+    for j, p in enumerate(V.pivots()):
+        c = w[p]
+        if _nonzero(c):
+            col = _columns(V.basis)[j]
+            w = [_psub(a, _pmul(c, b)) for a, b in zip(w, col)]
+    assert [_p(a) for a in V.reduce_mod(v)] == w
+    assert V.contains_vector(v) == (not any(map(_nonzero, w)))
+    for col in V.basis_columns():
+        assert V.contains_vector(col)
+
+
+@_differential
+@given(_matrices())
+def test_kernel_matches_reference(M):
+    K = kernel(M)
+    assert _columns(K.basis) == _ref_kernel(_pairs(M.entries), M.cols)
+    assert list(K.pivots()) == [next(i for i, a in enumerate(c) if _nonzero(a))
+                                for c in _columns(K.basis)]
+
+
+@_differential
+@given(st.data())
+def test_intersect_matches_reference(data):
+    n = data.draw(st.integers(1, 5))
+    A = Subspace.from_columns(n, data.draw(_matrices(cols=n)).entries)
+    B = Subspace.from_columns(n, data.draw(_matrices(cols=n)).entries)
+    a_cols, b_cols = _columns(A.basis), _columns(B.basis)
+    expected: list[list[Pair]] = []
+    if a_cols and b_cols:
+        stacked = [[a[i] for a in a_cols] + [_psub(_PZERO, b[i]) for b in b_cols]
+                   for i in range(n)]
+        gens = []
+        for x in _ref_kernel(stacked, len(a_cols) + len(b_cols)):
+            gens.append([row[0] for row in _ref_matmul(
+                [[a[i] for a in a_cols] for i in range(n)], [[c] for c in x[:len(a_cols)]], 1)])
+        expected = _ref_rref(gens)[0]
+    assert _columns(intersect(A, B).basis) == expected
+
+
+@_differential
+@given(st.integers(0, 5).flatmap(lambda n: _matrices(rows=n, cols=n)))
+def test_determinant_and_inverse_match_reference(M):
+    n = M.rows
+    det = _ref_det(_pairs(M.entries))
+    assert _p(determinant(M)) == det
+    if det == _PZERO:
+        with pytest.raises(ValueError):
+            inverse(M)
+        return
+    aug = [row + [_PONE if i == j else _PZERO for j in range(n)]
+           for i, row in enumerate(_pairs(M.entries))]
+    red, _ = _ref_rref(aug)
+    assert _pairs(inverse(M).entries) == [row[n:] for row in red]
