@@ -34,7 +34,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -595,33 +594,20 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> dict:
         for l1 in range(args.l_min, args.l_max + 1)
         for l2 in range(args.l_min, args.l_max + 1)
     ]
-
-    def compare(cell: tuple) -> tuple[tuple, tuple] | None:
-        J, n1, n2, l1, l2 = cell
-        verdict = classify_l2(J, n1, n2, l1, l2)
-        symbolic = (verdict.is_l2_d_eps, verdict.is_l2_d_eps_prime, verdict.is_l2)
-        oracle = dbarmod.integrability_oracle(J, n1, n2, l1, l2,
-                                              epsilon=args.epsilon).as_tuple()
-        return None if symbolic == oracle else (symbolic, oracle)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(compare, cells))
-    else:
-        outcomes = [compare(cell) for cell in cells]
     disagreements = []
-    for cell, outcome in zip(cells, outcomes):
-        if outcome is None:
-            continue
-        J, n1, n2, l1, l2 = cell
-        symbolic, oracle = outcome
-        disagreements.append({
-            "component": sorted(J),
-            "t_orders": [n1, n2],
-            "weights": [l1, l2],
-            "classifier": list(symbolic),
-            "oracle": list(oracle),
-        })
+    for J, n1, n2, l1, l2 in cells:
+        verdict = classify_l2(J, n1, n2, l1, l2)
+        symbolic = [verdict.is_l2_d_eps, verdict.is_l2_d_eps_prime, verdict.is_l2]
+        oracle = list(dbarmod.integrability_oracle(J, n1, n2, l1, l2,
+                                                   epsilon=args.epsilon).as_tuple())
+        if symbolic != oracle:
+            disagreements.append({
+                "component": sorted(J),
+                "t_orders": [n1, n2],
+                "weights": [l1, l2],
+                "classifier": symbolic,
+                "oracle": oracle,
+            })
     digest = _param_digest(epsilon=args.epsilon, l=[args.l_min, args.l_max], n_max=args.n_max)
     results = {
         "epsilon": args.epsilon,
@@ -781,7 +767,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-min", type=int, default=-4)
     p.add_argument("--l-max", type=int, default=4)
     p.add_argument("--n-max", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_oracle_compare)
 
     p = datum_command("end-check", "L2 verdicts of the Higgs field inside End(H)")

@@ -608,6 +608,7 @@ class OracleVerdict:
         return self.is_l2_d_eps, self.is_l2_d_eps_prime, self.is_l2
 
 
+@lru_cache(maxsize=256)  # a 1296-cell sweep asks for 38 distinct integrals
 def _tail_converges(t_order: int, log_exponent: float, *, epsilon: float = 0.1,
                     base_span: float = 8.0, points_per_unit: int = 64) -> bool:
     """Refinement-ratio test for integral_0^(1/e) r^(2 t_order - 1) (-log r)^p dr.
@@ -739,6 +740,13 @@ def bound_corpus(grid: RadialGrid | None = None) -> list[DbarCase]:
     return cases
 
 
+def _finite(data: Mapping, key: str) -> float:
+    value = float(data[key])
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {data[key]!r}")
+    return value
+
+
 def case_from_json(data: Mapping, grid: RadialGrid | None = None) -> tuple[WeightedLineBundle, FourierForm]:
     """Build a bundle and form from the JSON task layout.
 
@@ -748,13 +756,13 @@ def case_from_json(data: Mapping, grid: RadialGrid | None = None) -> tuple[Weigh
     component tag 1 or 2.  Bump params: center and width in log-radius
     units plus amplitude; poly params: powers and amplitude.
     """
-    k = float(data["k"])
-    l = float(data["l"])
+    k = _finite(data, "k")
+    l = _finite(data, "l")
     degree = int(data.get("degree", 1))
     if grid is None:
         kwargs = {}
         if "A" in data:
-            kwargs["a"] = float(data["A"])
+            kwargs["a"] = _finite(data, "A")
         if "points" in data:
             kwargs["n"] = int(data["points"])
         grid = RadialGrid(**kwargs)

@@ -970,3 +970,79 @@ def induced_map_on_graded(M: ExactMatrix, W: Filtration, l: int, shift: int = 0)
     src_basis = W.graded_basis(src)
     cols = [W.graded_coordinates(tgt, M.apply(v)) for v in src_basis]
     return ExactMatrix.from_columns(cols, ambient_dim=W.graded_dim(tgt))
+
+
+def induced_filtration_on_graded(V: Filtration, W: Filtration, l: int) -> Filtration:
+    """The filtration V induces on Gr_l(W), in the graded_basis(l) quotient basis.
+
+    Step p is the image of V_p ∩ W_l in Gr_l.  Equal consecutive steps
+    are merged keeping the index that the saturation convention needs:
+    the lowest for an increasing V, the highest for a decreasing one.
+    """
+    g = W.graded_dim(l)
+    step = W.step(l)
+    order = V.indices()
+    if V.direction == Filtration.DECREASING:
+        order = list(reversed(order))
+    steps: list[tuple[int, Subspace]] = []
+    prev: Subspace | None = None
+    for p in order:
+        meet = intersect(V.step(p), step)
+        sub = Subspace.from_columns(g, [W.graded_coordinates(l, v) for v in meet.basis_columns()])
+        if prev is None or sub != prev:
+            steps.append((p, sub))
+            prev = sub
+    return Filtration(g, V.direction, steps)
+
+
+BigradedPiece = tuple[int, int, tuple[tuple[Scalar, ...], ...]]
+
+
+def bigraded_pieces(W1: Filtration, W2: Filtration) -> tuple[BigradedPiece, ...]:
+    """Canonical generators of the double grading by two increasing filtrations.
+
+    For each pair (a, b) of graded levels, in order, with a nonzero piece,
+    the generators span a complement of W1_{a-1}∩W2_b + W1_a∩W2_{b-1}
+    inside W1_a∩W2_b: the pivot-complement columns of the canonical
+    corner basis, which works because nested canonical bases have nested
+    pivot sets.  Each corner W1_a∩W2_b is intersected once.
+    """
+    corners: dict[tuple[int, int], Subspace] = {}
+
+    def corner(a: int, b: int) -> Subspace:
+        if (a, b) not in corners:
+            corners[(a, b)] = intersect(W1.step(a), W2.step(b))
+        return corners[(a, b)]
+
+    pieces: list[BigradedPiece] = []
+    for a in W1.graded_range():
+        for b in W2.graded_range():
+            big = corner(a, b)
+            if big.dim == 0:
+                continue
+            below = subspace_sum(corner(a - 1, b), corner(a, b - 1))
+            if big.dim == below.dim:
+                continue
+            sub_pivots = set(below.pivots())
+            reps = tuple(big.basis.column(j) for j, p in enumerate(big.pivots())
+                         if p not in sub_pivots)
+            pieces.append((a, b, reps))
+    return tuple(pieces)
+
+
+# ----------------------------------------------------------------------
+# forms
+
+
+def conj_vector(v: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """Entrywise complex conjugate."""
+    return tuple(a.conj() for a in v)
+
+
+def bilinear(S: ExactMatrix, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
+    """u^T S v, with no conjugation; S(u, conj v) is bilinear(S, u, conj_vector(v))."""
+    acc = ZERO
+    for a, b in zip(u, S.apply(v)):
+        if a and b:
+            acc = acc + a * b
+    return acc

@@ -17,11 +17,11 @@ from .exactla import (
     ExactMatrix,
     Scalar,
     Subspace,
-    ZERO,
-    intersect,
+    bigraded_pieces,
+    bilinear,
+    conj_vector,
     rank,
     solve,
-    subspace_sum,
 )
 from .weightfilt import WeightFiltration, commuting_check, monodromy_weight_filtration
 
@@ -186,14 +186,6 @@ def theta_apply_class(s: MonodromizedSection, i: int, N1: ExactMatrix,
 # L2-adapted frames
 
 
-def _hermitian_value(metric: ExactMatrix, u: Vector, v: Vector) -> Scalar:
-    acc = ZERO
-    mv = metric.apply(tuple(x.conj() for x in v))
-    for a, b in zip(u, mv):
-        acc = acc + a * b
-    return acc
-
-
 def l2_adapted_check(frame: Sequence[MonodromizedSection],
                      metric: ExactMatrix) -> bool:
     """Leading-order sufficient criterion for an L2-adapted frame.
@@ -213,8 +205,8 @@ def l2_adapted_check(frame: Sequence[MonodromizedSection],
     for group in by_class.values():
         n = len(group)
         gram = ExactMatrix.from_function(
-            n, n, lambda a, b: _hermitian_value(
-                metric, group[a].flat_vector, group[b].flat_vector))
+            n, n, lambda a, b: bilinear(
+                metric, group[a].flat_vector, conj_vector(group[b].flat_vector)))
         if rank(gram) != n:
             return False
     return True
@@ -239,24 +231,13 @@ def ordered_alpha_basis(N1: ExactMatrix, N2: ExactMatrix) -> AlphaBasis:
     degenerate for a keyed basis).
     """
     commuting_check([N1, N2])
-    W1 = _weight_filtration(N1).filtration
-    W2 = _weight_filtration(N2).filtration
     raw: dict[tuple[int, int], Vector] = {}
-    for x in W1.graded_range():
-        for z in W2.graded_range():
-            V = intersect(W1.step(x), W2.step(z))
-            Vsub = subspace_sum(intersect(W1.step(x - 1), W2.step(z)),
-                                intersect(W1.step(x), W2.step(z - 1)))
-            g = V.dim - Vsub.dim
-            if g == 0:
-                continue
-            if g > 1:
-                raise ValueError(
-                    f"double grading is not simple at levels ({x}, {z})")
-            sub_pivots = set(Vsub.pivots())
-            cols = [V.basis.column(j) for j, p in enumerate(V.pivots())
-                    if p not in sub_pivots]
-            raw[(x, z)] = cols[0]
+    for x, z, reps in bigraded_pieces(_weight_filtration(N1).filtration,
+                                      _weight_filtration(N2).filtration):
+        if len(reps) > 1:
+            raise ValueError(
+                f"double grading is not simple at levels ({x}, {z})")
+        raw[(x, z)] = reps[0]
     if not raw:
         raise ValueError("empty space")
     xmin = min(x for x, _ in raw)
@@ -316,27 +297,15 @@ def ordering_change(basisA: AlphaBasis, basisB: AlphaBasis) -> dict:
 # graded exactness at class level
 
 
-def _l2_verdict(cls: GrowthClass) -> bool:
-    """Square integrability of a section class against the Poincare-like
-    volume, direction by direction."""
-    n1, n2 = cls.t_orders
-    a, b = cls.log_exps
-    return (n1 >= 1 or a <= 0) and (n2 >= 1 or b <= 0)
-
-
 def graded_exactness_check(classes: dict[tuple[int, int], GrowthClass],
                            shape: tuple[int, int] | None = None) -> dict:
-    """Class-level compatibility of a frame with the Hodge-bundle split.
+    """Level counts of a frame against the Hodge-bundle split.
 
-    For each level p the classes of generators at level >= p must be the
-    disjoint union of the classes at level >= p+1 and the level-p ones,
-    and the multiset of integrability verdicts must likewise agree
-    whether generators are read through the filtration or through its
-    level split.  With a ``shape`` (m, n) the label grid is also checked
-    for completeness.
+    For each level p, ``f_dim`` counts the generators at level k + l >= p
+    and ``e_dim`` those at level exactly p.  With a ``shape`` (m, n), or
+    the shape spanned by the labels, the label grid is checked for
+    completeness; ``pass`` is that check.
     """
-    from collections import Counter
-
     if shape is None and classes:
         shape = (max(k for k, _ in classes), max(l for _, l in classes))
     missing = []
@@ -344,22 +313,9 @@ def graded_exactness_check(classes: dict[tuple[int, int], GrowthClass],
         m, n = shape
         missing = [(k, l) for k in range(m + 1) for l in range(n + 1)
                    if (k, l) not in classes]
-    surjective = not missing
-    levels = []
-    all_split = True
     top = max((k + l for k, l in classes), default=-1)
-    for p in range(0, top + 1):
-        at_least = Counter(c.log_exps for (k, l), c in classes.items() if k + l >= p)
-        above = Counter(c.log_exps for (k, l), c in classes.items() if k + l >= p + 1)
-        exact = Counter(c.log_exps for (k, l), c in classes.items() if k + l == p)
-        split = at_least == above + exact
-        v_least = Counter(_l2_verdict(c) for (k, l), c in classes.items() if k + l >= p)
-        v_split = Counter(_l2_verdict(c) for (k, l), c in classes.items() if k + l >= p + 1) \
-            + Counter(_l2_verdict(c) for (k, l), c in classes.items() if k + l == p)
-        verdicts = v_least == v_split
-        levels.append({"p": p, "f_dim": sum(at_least.values()),
-                       "e_dim": sum(exact.values()), "split": split,
-                       "verdicts_match": verdicts})
-        all_split = all_split and split and verdicts
-    return {"surjective": surjective, "missing": missing, "levels": levels,
-            "pass": surjective and all_split}
+    levels = [{"p": p, "f_dim": sum(1 for k, l in classes if k + l >= p),
+               "e_dim": sum(1 for k, l in classes if k + l == p)}
+              for p in range(0, top + 1)]
+    return {"surjective": not missing, "missing": missing, "levels": levels,
+            "pass": not missing}

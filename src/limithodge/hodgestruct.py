@@ -20,8 +20,10 @@ from .exactla import (
     ONE,
     Scalar,
     Subspace,
-    ZERO,
+    bilinear,
+    conj_vector,
     determinant,
+    induced_filtration_on_graded,
     induced_map_on_graded,
     intersect,
     kernel,
@@ -41,21 +43,9 @@ class NotPolarized(ValueError):
     """The form fails symmetry, piece-orthogonality, or positivity."""
 
 
-def _conj_vec(v) -> tuple[Scalar, ...]:
-    return tuple(x.conj() for x in v)
-
-
 def _conj_space(V: Subspace) -> Subspace:
     return Subspace.from_columns(V.ambient_dim,
-                                 [_conj_vec(c) for c in V.basis_columns()])
-
-
-def _bilinear(S: ExactMatrix, u, v) -> Scalar:
-    acc = ZERO
-    sv = S.apply(v)
-    for a, b in zip(u, sv):
-        acc = acc + a * b
-    return acc
+                                 [conj_vector(c) for c in V.basis_columns()])
 
 
 @dataclass(frozen=True)
@@ -194,7 +184,7 @@ def weil_and_metric(hs: HodgeStructure,
                 continue
             for u in piece.basis_columns():
                 for v in other.basis_columns():
-                    if _bilinear(S.S, u, v):
+                    if bilinear(S.S, u, v):
                         raise NotPolarized(
                             f"pieces ({p},{q}) and ({r},{s}) are not orthogonal")
 
@@ -237,30 +227,6 @@ def _check_positive_definite(Hm: ExactMatrix) -> None:
 # mixed structures
 
 
-def _induced_on_graded(V: Filtration, W: Filtration, l: int) -> Filtration:
-    """The filtration V induces on Gr_l(W), in the quotient basis.
-
-    Equal consecutive steps are merged keeping the index that the
-    saturation convention needs: the lowest for an increasing V, the
-    highest for a decreasing one.
-    """
-    g = W.graded_dim(l)
-    step = W.step(l)
-    order = V.indices()
-    if V.direction == Filtration.DECREASING:
-        order = list(reversed(order))
-    steps: list[tuple[int, Subspace]] = []
-    prev: Subspace | None = None
-    for p in order:
-        meet = intersect(V.step(p), step)
-        gens = [W.graded_coordinates(l, v) for v in meet.basis_columns()]
-        sub = Subspace.from_columns(g, gens)
-        if prev is None or sub != prev:
-            steps.append((p, sub))
-            prev = sub
-    return Filtration(g, V.direction, steps)
-
-
 def _is_real(V: Subspace) -> bool:
     return _conj_space(V) == V
 
@@ -278,7 +244,7 @@ def mhs_check(m: MixedHodge) -> dict:
         for l in m.W.graded_range():
             if m.W.graded_dim(l) == 0:
                 continue
-            induced = _induced_on_graded(m.F, m.W, l)
+            induced = induced_filtration_on_graded(m.F, m.W, l)
             try:
                 filtration_to_bigrading(induced, l)
                 pure = True
@@ -317,7 +283,7 @@ def polarized_mhs_check(m: MixedHodge, N: ExactMatrix, S: ExactMatrix,
         Fq = m.F.step(k - p + 1)
         for u in Fp.basis_columns():
             for v in Fq.basis_columns():
-                if _bilinear(S, u, v):
+                if bilinear(S, u, v):
                     pairing_ok = False
     report["pairing"] = pairing_ok
     lowers = True
@@ -359,11 +325,11 @@ def _primitive_polarized(m: MixedHodge, N: ExactMatrix, S: ExactMatrix,
     lifts = m.W.graded_basis(k + l)
     Nl = N.power(l)
     Sgr = ExactMatrix.from_function(
-        g, g, lambda i, j: _bilinear(S, lifts[i], Nl.apply(lifts[j])))
-    Fgr = _induced_on_graded(m.F, m.W, k + l)
+        g, g, lambda i, j: bilinear(S, lifts[i], Nl.apply(lifts[j])))
+    Fgr = induced_filtration_on_graded(m.F, m.W, k + l)
     # coordinates inside P (its canonical basis is real since the data is)
     basis = P.basis_columns()
-    if any(_conj_vec(c) != c for c in basis):
+    if any(conj_vector(c) != c for c in basis):
         return False, "primitive space is not defined over the reals"
     Pb = ExactMatrix.from_columns(basis, ambient_dim=g)
     steps: list[tuple[int, Subspace]] = []

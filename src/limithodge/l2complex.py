@@ -29,14 +29,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactla import (
+    BigradedPiece,
     ExactMatrix,
     Filtration,
     Scalar,
     Subspace,
     apply_to_subspace,
+    bigraded_pieces,
     exp_nilpotent,
-    intersect,
-    subspace_sum,
+    rank,
 )
 from .growth import _weight_filtration, minimal_weight
 from .sl2rep import Model, alpha_basis, isotypic_decomposition
@@ -180,48 +181,15 @@ def classify_l2(component, n1: int, n2: int, l1: int, l2: int) -> L2Verdict:
 # ----------------------------------------------------------------------
 # doubly graded pieces of (W(N1), W(N1+N2))
 
-Piece = tuple[int, int, tuple[tuple[Scalar, ...], ...]]
-
 
 @lru_cache(maxsize=8)  # one datum at a time; a small cap bounds what a long run holds
-def _bilevel_pieces(n1: ExactMatrix, n2: ExactMatrix) -> tuple[Piece, ...]:
+def _bilevel_pieces(n1: ExactMatrix, n2: ExactMatrix) -> tuple[BigradedPiece, ...]:
     """Canonical generators of the double grading by (W(N₁), W(N₁+N₂)).
 
-    For each realized level pair (a, b) the generators span a complement of
-    W¹_{a-1}∩W²_b + W¹_a∩W²_{b-1} inside W¹_a∩W²_b — the pivot-complement
-    columns of the canonical corner bases, which works because nested
-    canonical bases have nested pivot sets.  Multiplicities are allowed
-    (unlike the keyed basis in the growth module).
+    Multiplicities are allowed (unlike the keyed basis in the growth module).
     """
-    W1 = _weight_filtration(n1).filtration
-    Wt = _weight_filtration(n1 + n2).filtration
-    levels1 = W1.graded_range()
-    levels2 = Wt.graded_range()
-
-    corners: dict[tuple[int, int], Subspace] = {}
-
-    def corner(a: int, b: int) -> Subspace:
-        if (a, b) not in corners:
-            corners[(a, b)] = intersect(W1.step(a), Wt.step(b))
-        return corners[(a, b)]
-
-    pieces: list[Piece] = []
-    for a in levels1:
-        for b in levels2:
-            big = corner(a, b)
-            if big.dim == 0:
-                continue
-            below = subspace_sum(corner(a - 1, b), corner(a, b - 1))
-            if big.dim == below.dim:
-                continue
-            sub_pivots = set(below.pivots())
-            reps = tuple(
-                big.basis.column(j)
-                for j, p in enumerate(big.pivots())
-                if p not in sub_pivots
-            )
-            pieces.append((a, b, reps))
-    return tuple(pieces)
+    return bigraded_pieces(_weight_filtration(n1).filtration,
+                           _weight_filtration(n1 + n2).filtration)
 
 
 def _span_passing(
@@ -345,16 +313,20 @@ def build_stalk_complex(datum: MonodromyDatum, mode: str = LOCAL_SYSTEM) -> Stal
     return StalkComplex(k0, k1_dt1, k1_dt2, k2, datum.n1, datum.n2, mode)
 
 
-def _three_term_betti(
+def _differentials(
     m1: ExactMatrix,
     m2: ExactMatrix,
     s0: Subspace,
     s1a: Subspace,
     s1b: Subspace,
     s2: Subspace,
-) -> tuple[int, int, int]:
-    """Exact Betti numbers of s0 -> s1a⊕s1b -> s2 with maps (m1, m2), (m2, -m1)."""
-    _check_well_defined(m1, m2, s0, s1a, s1b, s2)
+) -> tuple[ExactMatrix, ExactMatrix]:
+    """d0 = (m1, m2) and d1 = (m2, -m1) of s0 -> s1a⊕s1b -> s2 in the canonical bases.
+
+    The maps must be well defined on the subspaces (see
+    ``_check_well_defined``).  A matrix with no rows keeps no column
+    count, so read dimensions off the subspaces, not the matrices.
+    """
     d0_cols = []
     for v in s0.basis_columns():
         a = s1a.coordinates(m1.apply(v))
@@ -366,24 +338,31 @@ def _three_term_betti(
     for v in s1b.basis_columns():
         w = m1.apply(v)
         d1_cols.append(s2.coordinates(tuple(-x for x in w)))
-    dim1 = s1a.dim + s1b.dim
-    r0 = Subspace.from_columns(dim1, d0_cols).dim
-    r1 = Subspace.from_columns(s2.dim, d1_cols).dim if s2.dim else 0
+    d0 = ExactMatrix.from_columns(d0_cols, ambient_dim=s1a.dim + s1b.dim)
+    d1 = ExactMatrix.from_columns(d1_cols, ambient_dim=s2.dim)
     # d1∘d0 vanishes because the (possibly shifted) operators commute;
     # verify exactly rather than trusting the caller.
-    for v in s0.basis_columns():
-        w = m2.apply(m1.apply(v))
-        u = m1.apply(m2.apply(v))
-        if any(x != y for x, y in zip(w, u)):
-            raise IllFormedComplex("composite differential is nonzero")
-    h0 = s0.dim - r0
-    h1 = dim1 - r0 - r1
-    h2 = s2.dim - r1
-    return (h0, h1, h2)
+    if s0.dim and s2.dim and not (d1 @ d0).is_zero():
+        raise IllFormedComplex("composite differential is nonzero")
+    return d0, d1
+
+
+def _three_term_betti(
+    m1: ExactMatrix,
+    m2: ExactMatrix,
+    s0: Subspace,
+    s1a: Subspace,
+    s1b: Subspace,
+    s2: Subspace,
+) -> tuple[int, int, int]:
+    """Exact Betti numbers of s0 -> s1a⊕s1b -> s2 with maps (m1, m2), (m2, -m1)."""
+    d0, d1 = _differentials(m1, m2, s0, s1a, s1b, s2)
+    r0, r1 = rank(d0), rank(d1)
+    return (s0.dim - r0, s1a.dim + s1b.dim - r0 - r1, s2.dim - r1)
 
 
 def hypercohomology(c: StalkComplex) -> tuple[int, int, int]:
-    """Exact cohomology of the stalk complex."""
+    """Exact cohomology of the stalk complex (checked well defined when built)."""
     return _three_term_betti(c.n1, c.n2, c.k0, c.k1_dt1, c.k1_dt2, c.k2)
 
 
@@ -418,14 +397,14 @@ def truncated_global_model(datum: MonodromyDatum, degree: int) -> tuple[int, int
         m1 = datum.n1 + ident.scale(i)
         m2 = datum.n2 + ident.scale(j)
         w1, w2 = i >= 1, j >= 1
-        cell = _three_term_betti(
-            m1,
-            m2,
+        cell_spaces = (
             space(w1, w2, frozenset()),
             space(w1, w2, frozenset({1})),
             space(w1, w2, frozenset({2})),
             space(w1, w2, frozenset({1, 2})),
         )
+        _check_well_defined(m1, m2, *cell_spaces)
+        cell = _three_term_betti(m1, m2, *cell_spaces)
         for r in range(3):
             total[r] += cell[r]
     return tuple(total)  # type: ignore[return-value]
@@ -642,25 +621,6 @@ def total_cohomology(dc: DoubleComplex) -> tuple[int, ...]:
     return tuple(betti)
 
 
-def _coordinate_matrices(c: StalkComplex) -> tuple[ExactMatrix, ExactMatrix, tuple[int, int, int]]:
-    """d0 and d1 of the stalk complex in the canonical K-bases."""
-    k0, k1, k2 = c.dims
-    d0_cols = []
-    for v in c.k0.basis_columns():
-        a = c.k1_dt1.coordinates(c.n1.apply(v))
-        b = c.k1_dt2.coordinates(c.n2.apply(v))
-        d0_cols.append(a + b)
-    d1_cols = []
-    for v in c.k1_dt1.basis_columns():
-        d1_cols.append(c.k2.coordinates(c.n2.apply(v)))
-    for v in c.k1_dt2.basis_columns():
-        w = c.n1.apply(v)
-        d1_cols.append(c.k2.coordinates(tuple(-x for x in w)))
-    d0 = ExactMatrix.from_columns(d0_cols, ambient_dim=k1)
-    d1 = ExactMatrix.from_columns(d1_cols, ambient_dim=k2)
-    return d0, d1, (k0, k1, k2)
-
-
 def two_chart_cover(c: StalkComplex) -> DoubleComplex:
     """Čech-style double complex of a toy two-chart cover of the stalk model.
 
@@ -668,7 +628,8 @@ def two_chart_cover(c: StalkComplex) -> DoubleComplex:
     difference (a, b) ↦ a - b; the vertical differential acquires a sign
     on the overlap column so that the squares anticommute.
     """
-    d0, d1, (k0, k1, k2) = _coordinate_matrices(c)
+    d0, d1 = _differentials(c.n1, c.n2, c.k0, c.k1_dt1, c.k1_dt2, c.k2)
+    k0, k1, k2 = c.dims
     qdims = {0: k0, 1: k1, 2: k2}
     qmaps = {0: d0, 1: d1}
     spaces: dict = {}

@@ -30,6 +30,8 @@ from .exactla import (
     Subspace,
     ZERO,
     apply_to_subspace,
+    bilinear,
+    conj_vector,
     exp_nilpotent,
     image,
     intersect,
@@ -540,19 +542,6 @@ def _check_isometric(S: ExactMatrix, action: Sl2PairAction) -> None:
             raise NotIsometric("action is not by infinitesimal isometries of S")
 
 
-def _bilinear(S: ExactMatrix, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    acc = ZERO
-    Sv = S.apply(v)
-    for a, b in zip(u, Sv):
-        if a and b:
-            acc = acc + a * b
-    return acc
-
-
-def _conj_vec(v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    return tuple(a.conj() for a in v)
-
-
 def _normalize_leading(v: Sequence[Scalar]) -> tuple[Scalar, ...]:
     for a in v:
         if a:
@@ -561,10 +550,18 @@ def _normalize_leading(v: Sequence[Scalar]) -> tuple[Scalar, ...]:
     raise ValueError("zero vector")
 
 
-def _orthogonalize_symmetric(vectors: list[tuple[Scalar, ...]],
-                             form: Callable[[Sequence[Scalar], Sequence[Scalar]], Scalar],
-                             ) -> list[tuple[Scalar, ...]]:
-    """Orthogonal basis for a nondegenerate symmetric form (isotropic-safe)."""
+def _orthogonalize(vectors: list[tuple[Scalar, ...]],
+                   form: Callable[[Sequence[Scalar], Sequence[Scalar]], Scalar],
+                   ) -> list[tuple[Scalar, ...]]:
+    """Orthogonal basis for a nondegenerate symmetric form, or a hermitian
+    one antilinear in the second slot (isotropic-safe over the Gaussian
+    rationals).
+
+    When every remaining vector is isotropic, a pair u, v with
+    c = form(u, v) != 0 is replaced by u+v if Re c != 0 and by u+iv
+    otherwise.  For a real symmetric form on real vectors c is real, so
+    the repair is always u+v.
+    """
     vs = [tuple(v) for v in vectors]
     out: list[tuple[Scalar, ...]] = []
     while vs:
@@ -574,44 +571,7 @@ def _orthogonalize_symmetric(vectors: list[tuple[Scalar, ...]],
                 pick = idx
                 break
         if pick is None:
-            # all isotropic: find a hyperbolic pair and repair
-            found = None
-            for a in range(len(vs)):
-                for b in range(a + 1, len(vs)):
-                    if form(vs[a], vs[b]):
-                        found = (a, b)
-                        break
-                if found:
-                    break
-            if found is None:
-                raise DecompositionError("form degenerate on multiplicity space")
-            a, b = found
-            vs[a] = tuple(x + y for x, y in zip(vs[a], vs[b]))
-            continue
-        v = vs.pop(pick)
-        vv = form(v, v)
-        vs = [tuple(x - (form(u, v) / vv) * y for x, y in zip(u, v))
-              for u in vs]
-        # drop vectors that became zero (dependent input)
-        vs = [u for u in vs if any(u)]
-        out.append(v)
-    return out
-
-
-def _orthogonalize_hermitian(vectors: list[tuple[Scalar, ...]],
-                             form: Callable[[Sequence[Scalar], Sequence[Scalar]], Scalar],
-                             ) -> list[tuple[Scalar, ...]]:
-    """Orthogonal basis for a nondegenerate hermitian form, antilinear in
-    the second slot (isotropic-safe over the Gaussian rationals)."""
-    vs = [tuple(v) for v in vectors]
-    out: list[tuple[Scalar, ...]] = []
-    while vs:
-        pick = None
-        for idx, v in enumerate(vs):
-            if form(v, v):
-                pick = idx
-                break
-        if pick is None:
+            # all isotropic: find a pair with nonzero pairing and repair
             found = None
             for a in range(len(vs)):
                 for b in range(a + 1, len(vs)):
@@ -633,6 +593,7 @@ def _orthogonalize_hermitian(vectors: list[tuple[Scalar, ...]],
         vv = form(v, v)
         vs = [tuple(x - (form(u, v) / vv) * y for x, y in zip(u, v))
               for u in vs]
+        # drop vectors that became zero (dependent input)
         vs = [u for u in vs if any(u)]
         out.append(v)
     return out
@@ -723,11 +684,11 @@ def isotypic_decomposition(bigrading: Bigrading, action: Sl2PairAction,
 
             def pairing(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
                 assert S is not None
-                return _bilinear(S, u, apow.apply(v))
+                return bilinear(S, u, apow.apply(v))
 
             def pairing_conj(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
                 assert S is not None
-                return _bilinear(S, u, apow.apply(_conj_vec(v)))
+                return bilinear(S, u, apow.apply(conj_vector(v)))
 
             for w in range(0, wmax + 1):
                 mwk = intersect(emn, kernel(rk - idk.scale(w)))
@@ -744,7 +705,7 @@ def isotypic_decomposition(bigrading: Bigrading, action: Sl2PairAction,
                     if any(a.im != 0 for v in base for a in v):
                         raise DecompositionError("lowest space at w=0 is not real")
                     if S is not None:
-                        base = _orthogonalize_symmetric(base, pairing)
+                        base = _orthogonalize(base, pairing)
                     l = (k - m - n) // 2
                     for u in base:
                         u = _normalize_leading(u)
@@ -765,12 +726,12 @@ def isotypic_decomposition(bigrading: Bigrading, action: Sl2PairAction,
                         else:
                             def herm(u, v, _p=pairing_conj):
                                 return I * _p(u, v)
-                        base = _orthogonalize_hermitian(base, herm)
+                        base = _orthogonalize(base, herm)
                     p = (k - m - n + w) // 2
                     q = (k - m - n - w) // 2
                     for u in base:
                         u = _normalize_leading(u)
-                        ubar = _conj_vec(u)
+                        ubar = conj_vector(u)
                         half = Scalar(Fraction(1, 2))
                         e1 = tuple(half * (a + b) for a, b in zip(u, ubar))
                         e2 = tuple((b - a) / Scalar(0, 2) for a, b in zip(u, ubar))
@@ -813,7 +774,7 @@ def _verify_decomposition(bigrading: Bigrading, action: Sl2PairAction,
             for b in range(a + 1, len(factors)):
                 for u in subs[a].columns():
                     for v in subs[b].columns():
-                        if _bilinear(S, u, v):
+                        if bilinear(S, u, v):
                             raise DecompositionError(
                                 "factors are not pairwise orthogonal under S")
 

@@ -17,6 +17,7 @@ from .exactla import (
     ExactMatrix,
     Filtration,
     Subspace,
+    induced_filtration_on_graded,
     induced_map_on_graded,
     intersect,
     kernel,
@@ -211,26 +212,6 @@ def induced_nilpotent_on_graded(N: ExactMatrix, W: WeightFiltration, k: int) -> 
     return induced_map_on_graded(N, W.filtration, k, shift=0)
 
 
-def induced_filtration_on_graded(V: Filtration, W: WeightFiltration, k: int) -> Filtration:
-    """The filtration induced by V on the graded quotient Gr_k of W.
-
-    Step l is the image of V_l ∩ W_k in Gr_k = W_k / W_{k-1}, expressed
-    in the deterministic quotient basis of the graded piece.
-    """
-    g = W.filtration.graded_dim(k)
-    step_k = W.step(k)
-    steps: list[tuple[int, Subspace]] = []
-    prev: Subspace | None = None
-    for l in V.indices():
-        meet = intersect(V.step(l), step_k)
-        gens = [W.filtration.graded_coordinates(k, v) for v in meet.basis_columns()]
-        sub = Subspace.from_columns(g, gens)
-        if prev is None or sub != prev:
-            steps.append((l, sub))
-            prev = sub
-    return Filtration(g, Filtration.INCREASING, steps)
-
-
 def relative_weight_check(N1: ExactMatrix, N2: ExactMatrix,
                           W: WeightFiltration | None = None) -> dict:
     """Check that the cone filtration induces, on each Gr_k of W(N1), the
@@ -245,7 +226,7 @@ def relative_weight_check(N1: ExactMatrix, N2: ExactMatrix,
     details = []
     agree = True
     for k in W1.filtration.graded_range():
-        induced = induced_filtration_on_graded(W.filtration, W1, k)
+        induced = induced_filtration_on_graded(W.filtration, W1.filtration, k)
         n2_gr = induced_nilpotent_on_graded(N2, W1, k)
         expected = monodromy_weight_filtration(n2_gr, center=k)
         los = min(induced.indices() + expected.filtration.indices()) - 1

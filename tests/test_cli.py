@@ -383,6 +383,18 @@ def test_excluded_exponent_exits_4(tmp_path, capsys):
     assert error["kind"] == "excluded-exponent"
 
 
+@pytest.mark.parametrize("key, value", [("k", "nan"), ("l", "inf"), ("A", "nan")])
+def test_non_finite_dbar_exponent_exits_2(tmp_path, capsys, key, value):
+    payload = {"k": 0.0, "l": 0.0, "modes": [
+        {"m": 0, "n": 0, "component": 2, "profile": "poly", "params": {}}]}
+    payload[key] = value
+    config = _write_json(tmp_path / "non-finite.json", payload)
+    code, error = _run_error(["dbar-solve", config], capsys)
+    assert code == 2
+    assert error["kind"] == "invalid-input"
+    assert f"{key} must be finite" in error["message"]
+
+
 def test_corpus_directory_resolution(tmp_path, capsys, monkeypatch):
     _jordan_datum(tmp_path, "mydatum.json")
     monkeypatch.setenv("LIMITHODGE_CORPUS", str(tmp_path))

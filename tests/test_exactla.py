@@ -13,9 +13,11 @@ from limithodge.exactla import (
     Filtration,
     Scalar,
     Subspace,
+    bilinear,
     determinant,
     exp_nilpotent,
     image,
+    induced_filtration_on_graded,
     induced_map_on_graded,
     intersect,
     inverse,
@@ -249,6 +251,40 @@ def test_induced_map_zero_on_single_step():
     assert block.is_zero()
 
 
+def test_induced_filtration_on_graded_of_a_decreasing_filtration():
+    W = Filtration.from_generators(3, Filtration.INCREASING,
+                                   [(0, [[1, 0, 0]]), (2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])])
+    F = Filtration.from_generators(3, Filtration.DECREASING, [
+        (0, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        (1, [[1, 1, 0], [1, 0, 0]]),
+        (2, [[1, 0, 0]]),
+        (3, []),
+    ])
+    induced = induced_filtration_on_graded(F, W, 2)
+    # F^2 dies in Gr_2 = W_2 / W_0, so it merges into F^3 (highest index kept)
+    assert induced.direction == Filtration.DECREASING
+    assert [(p, sub.dim) for p, sub in induced.steps] == [(0, 2), (1, 1), (3, 0)]
+    assert induced == Filtration.from_generators(
+        2, Filtration.DECREASING, [(0, [[1, 0], [0, 1]]), (1, [[1, 0]]), (3, [])])
+
+
+def test_induced_filtration_on_graded_of_an_increasing_filtration():
+    W = Filtration.from_generators(3, Filtration.INCREASING,
+                                   [(0, [[1, 0, 0]]), (2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])])
+    V = Filtration.from_generators(3, Filtration.INCREASING, [
+        (-1, []),
+        (0, [[1, 0, 1]]),
+        (1, [[1, 0, 1], [1, 0, 0]]),
+        (2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    ])
+    induced = induced_filtration_on_graded(V, W, 2)
+    # V_0 and V_1 agree modulo W_0, so they merge into V_0 (lowest index kept)
+    assert induced.direction == Filtration.INCREASING
+    assert [(p, sub.dim) for p, sub in induced.steps] == [(-1, 0), (0, 1), (2, 2)]
+    assert induced.step(1) == Subspace.from_columns(2, [[0, 1]])
+    assert induced.graded_range() == [0, 2]
+
+
 # ----------------------------------------------------------------------
 # differential tests: the integer kernels against a plain Fraction
 # reference (Gauss-Jordan and products on (re, im) pairs of Fractions)
@@ -402,6 +438,8 @@ def test_products_match_reference(data):
     C = data.draw(_matrices(rows=A.rows, cols=inner))
     v = data.draw(st.lists(st.builds(Scalar, _rationals, _rationals), min_size=inner,
                            max_size=inner))
+    u = data.draw(st.lists(st.builds(Scalar, _rationals, _rationals), min_size=A.rows,
+                           max_size=A.rows))
     c = data.draw(st.builds(Scalar, _rationals, _rationals))
     assert _pairs((A @ B).entries) == _ref_matmul(_pairs(A.entries), _pairs(B.entries), B.cols)
     assert [_p(a) for a in A.apply(v)] == [row[0] for row in _ref_matmul(
@@ -412,6 +450,11 @@ def test_products_match_reference(data):
     assert _pairs((A - C).entries) == [[_psub(x, y) for x, y in zip(r, s)]
                                        for r, s in zip(a_pairs, c_pairs)]
     assert _pairs(A.scale(c).entries) == [[_pmul(_p(c), x) for x in r] for r in a_pairs]
+    uAv = _PZERO
+    for x, row in zip(u, _ref_matmul(a_pairs, [[_p(y)] for y in v], 1)):
+        p = _pmul(_p(x), row[0])
+        uAv = (uAv[0] + p[0], uAv[1] + p[1])
+    assert _p(bilinear(A, u, v)) == uAv
 
 
 @_differential

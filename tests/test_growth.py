@@ -247,7 +247,8 @@ def test_graded_exactness_on_full_frame():
     rep = graded_exactness_check(classes, shape=(2, 1))
     assert rep["surjective"] is True
     assert rep["pass"] is True
-    assert all(level["split"] for level in rep["levels"])
+    assert [(level["p"], level["f_dim"], level["e_dim"]) for level in rep["levels"]] == [
+        (0, 6, 1), (1, 5, 2), (2, 3, 2), (3, 1, 1)]
 
 
 def test_graded_exactness_trivial_vhs():

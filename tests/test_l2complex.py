@@ -12,6 +12,7 @@ from limithodge.l2complex import (
     DoubleComplex,
     IllFormedComplex,
     MonodromyDatum,
+    StalkComplex,
     build_stalk_complex,
     classify_l2,
     end_datum,
@@ -150,6 +151,15 @@ def test_differentials_stay_inside_the_complex():
             assert c.k2.contains_vector(c.n2.apply(v))
         for v in c.k1_dt2.basis_columns():
             assert c.k2.contains_vector(c.n1.apply(v))
+
+
+def test_nonzero_composite_differential_is_rejected():
+    full = Subspace.full(2)
+    m1 = ExactMatrix([[0, 1], [0, 0]])
+    m2 = ExactMatrix([[0, 0], [1, 0]])
+    c = StalkComplex(full, full, full, full, m1, m2)
+    with pytest.raises(IllFormedComplex, match="composite differential is nonzero"):
+        hypercohomology(c)
 
 
 def test_hodge_bundle_mode_matches_local_system_on_corpus():

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from limithodge.exactla import ExactMatrix, I, Scalar, Subspace, scalar
+from limithodge.exactla import ExactMatrix, I, Scalar, Subspace, bilinear, conj_vector, scalar
 from limithodge.sl2rep import (
+    DecompositionError,
     NoSolution,
     NotHorizontal,
     Sl2PairAction,
@@ -18,6 +19,7 @@ from limithodge.sl2rep import (
     transport_model,
     ytilde_from_bigrading,
 )
+from limithodge.sl2rep import _orthogonalize
 from limithodge.weightfilt import monodromy_weight_filtration
 
 
@@ -191,6 +193,43 @@ def test_decomposition_survives_transport():
         factors = isotypic_decomposition(moved.bigrading, moved.action, moved.polarization)
         assert sorted(f.params() for f in factors) == expected
         assert sum(f.dim for f in factors) == moved.dim
+
+
+_E1 = (scalar(1), scalar(0))
+_E2 = (scalar(0), scalar(1))
+
+
+def test_orthogonalize_repairs_a_real_hyperbolic_pair_with_u_plus_v():
+    S = ExactMatrix([[0, 1], [1, 0]])
+
+    def form(u, v):
+        return bilinear(S, u, v)
+
+    out = _orthogonalize([_E1, _E2], form)
+    assert out[0] == (scalar(1), scalar(1))
+    assert len(out) == 2
+    assert not form(out[0], out[1])
+    assert all(form(v, v) for v in out)
+
+
+def test_orthogonalize_repairs_a_hermitian_pair_with_u_plus_iv():
+    H = ExactMatrix([[0, I], [-I, 0]])
+
+    def form(u, v):
+        return bilinear(H, u, conj_vector(v))
+
+    assert form(_E1, _E2) == I
+    out = _orthogonalize([_E1, _E2], form)
+    assert out[0] == (scalar(1), I)
+    assert len(out) == 2
+    assert not form(out[0], out[1])
+    assert all(form(v, v) for v in out)
+
+
+def test_orthogonalize_rejects_a_zero_form():
+    S = ExactMatrix.zeros(2, 2)
+    with pytest.raises(DecompositionError):
+        _orthogonalize([_E1, _E2], lambda u, v: bilinear(S, u, v))
 
 
 def test_decomposition_rejects_nonhorizontal_bigrading():
