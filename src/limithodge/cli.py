@@ -35,9 +35,9 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Any, Callable, Sequence
 
-from . import dbar as dbarmod
 from .exactla import ExactMatrix, Filtration
 from .growth import D_EPS, D_EPS_PRIME, hodge_norm_class, section_from_datum, theta_apply_class
 from .hodgestruct import (
@@ -101,6 +101,24 @@ class CliError(Exception):
         super().__init__(message)
         self.code = code
         self.kind = kind
+
+
+def _with_dbar(command: Callable[[argparse.Namespace, ModuleType], dict],
+               ) -> Callable[[argparse.Namespace], dict]:
+    """A subcommand run with the dbar module, which is imported only then
+    (it loads numpy and scipy), and with dbar's errors mapped to exit codes."""
+
+    def run(args: argparse.Namespace) -> dict:
+        from . import dbar
+
+        try:
+            return command(args, dbar)
+        except dbar.ExcludedExponent as exc:
+            raise CliError(EXIT_EXCLUDED_EXPONENT, "excluded-exponent", str(exc)) from exc
+        except (dbar.IncompatibleInput, dbar.DivergentNorm) as exc:
+            raise CliError(EXIT_PRECONDITION, "precondition-violated", str(exc)) from exc
+
+    return run
 
 
 # ----------------------------------------------------------------------
@@ -582,7 +600,8 @@ def _cmd_stalk_cohomology(args: argparse.Namespace) -> dict:
     return _report("stalk-cohomology", datum.digest, results)
 
 
-def _cmd_oracle_compare(args: argparse.Namespace) -> dict:
+@_with_dbar
+def _cmd_oracle_compare(args: argparse.Namespace, dbarmod: ModuleType) -> dict:
     if args.l_min > args.l_max:
         raise CliError(EXIT_INVALID_INPUT, "invalid-input", "empty weight range")
     components = (frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2}))
@@ -641,7 +660,8 @@ def _cmd_end_check(args: argparse.Namespace) -> dict:
     return _report("end-check", datum.digest, results)
 
 
-def _cmd_dbar_solve(args: argparse.Namespace) -> dict:
+@_with_dbar
+def _cmd_dbar_solve(args: argparse.Namespace, dbarmod: ModuleType) -> dict:
     payload, digest, builtin = _read_payload(args.config)
     if builtin is not None or payload is None:
         raise CliError(EXIT_INVALID_INPUT, "invalid-input",
@@ -690,11 +710,13 @@ def _cmd_dbar_solve(args: argparse.Namespace) -> dict:
     return _report("dbar-solve", digest, results, warns)
 
 
-def _cmd_dbar_region(args: argparse.Namespace) -> dict:
-    covered = dbarmod.hormander_region(args.p, args.q, args.k, args.l)
-    digest = _param_digest(p=args.p, q=args.q, k=args.k, l=args.l)
+@_with_dbar
+def _cmd_dbar_region(args: argparse.Namespace, dbarmod: ModuleType) -> dict:
+    k, l = dbarmod._finite(vars(args), "k"), dbarmod._finite(vars(args), "l")
+    covered = dbarmod.hormander_region(args.p, args.q, k, l)
+    digest = _param_digest(p=args.p, q=args.q, k=k, l=l)
     return _report("dbar-region", digest,
-                   {"p": args.p, "q": args.q, "k": args.k, "l": args.l, "covered": covered})
+                   {"p": args.p, "q": args.q, "k": k, "l": l, "covered": covered})
 
 
 # ----------------------------------------------------------------------
@@ -796,11 +818,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         report = args.func(args)
     except CliError as exc:
         return _fail(exc.code, exc.kind, str(exc))
-    except dbarmod.ExcludedExponent as exc:
-        return _fail(EXIT_EXCLUDED_EXPONENT, "excluded-exponent", str(exc))
     except (NonCommuting, NotNilpotent, NonPositiveCoefficient, NotHorizontal,
-            NotIsometric, NoSolution, WrongKind, NotAHodgeFiltration, NotPolarized,
-            dbarmod.IncompatibleInput, dbarmod.DivergentNorm) as exc:
+            NotIsometric, NoSolution, WrongKind, NotAHodgeFiltration, NotPolarized) as exc:
         return _fail(EXIT_PRECONDITION, "precondition-violated", str(exc))
     except (AxiomFailure, DecompositionError, AnticommutationFailure,
             IllFormedComplex, AssertionError) as exc:

@@ -278,6 +278,16 @@ def path_corner(m: int, n: int, k: float, l: float, a: float = math.exp(-1.0)) -
     return _corner_1d(m, k, a), _corner_1d(n, l, a)
 
 
+def _antiderivative(r: np.ndarray, integrand: np.ndarray, start: float) -> np.ndarray:
+    """Cumulative spline integral of integrand along r (axis 0) from start.
+
+    A start of 0 integrates from the grid's inner edge, any other start
+    from the grid top.
+    """
+    values = CubicSpline(r, integrand, axis=0).antiderivative()(r)
+    return values - values[-1] if start != 0.0 else values
+
+
 def _path_integral(profile: np.ndarray, grid: RadialGrid, axis: int,
                    mode_index: int, start: float) -> np.ndarray:
     """Cumulative integral_start^{r_i} rho^(-mode_index) profile d rho along an axis.
@@ -289,10 +299,7 @@ def _path_integral(profile: np.ndarray, grid: RadialGrid, axis: int,
     r = grid.r
     work = profile if axis == 0 else profile.T
     integrand = work * r[:, None] ** float(-mode_index)
-    anti = CubicSpline(r, integrand, axis=0).antiderivative()
-    values = anti(r)
-    if start != 0.0:
-        values = values - values[-1]
+    values = _antiderivative(r, integrand, start)
     return values if axis == 0 else values.T
 
 
@@ -377,9 +384,7 @@ def _edge_leg(profile: np.ndarray, grid: RadialGrid, m: int, n: int,
     r = grid.r
     edge = 0 if c1 == 0.0 else grid.n - 1
     integrand = profile[edge, :] * r ** float(-n)
-    values = CubicSpline(r, integrand).antiderivative()(r)
-    if c2 != 0.0:
-        values = values - values[-1]
+    values = _antiderivative(r, integrand, c2)
     scale = 2.0 * r[edge] ** float(-m)
     return scale * np.outer(r ** float(m), r ** float(n) * values)
 

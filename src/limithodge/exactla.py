@@ -7,11 +7,11 @@ rounding ever occurs.  Subspace equality is decidable because bases are
 kept in a canonical form (reduced column echelon, pivots on the first
 nonzero coordinate of each basis vector).
 
-The arithmetic kernels (row reduction, products, projections) run on
-Python ints: a matrix is also kept as a common denominator over integer
-numerators, split into real and imaginary parts, and rows are reduced
-fraction-free with their content divided out.  Fractions appear only
-where a result is handed back as :class:`Scalar` entries.
+A matrix is stored only as a common denominator over integer numerator
+rows, with real and imaginary parts kept apart, and every matrix and
+subspace operation runs on Python ints: rows are reduced fraction-free
+with their content divided out.  :class:`Scalar` entries are built only
+where a caller reads them.
 """
 
 from __future__ import annotations
@@ -111,9 +111,6 @@ class Scalar:
     def __hash__(self) -> int:
         return hash((self.re, self.im))
 
-    def is_rational(self) -> bool:
-        return self.im == 0
-
     def __repr__(self) -> str:
         if not self.im:
             return f"{self.re}"
@@ -140,7 +137,6 @@ def scalar(x: ScalarLike) -> Scalar:
 ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
-_MINUS_ONE = Scalar(-1)
 
 
 # ----------------------------------------------------------------------
@@ -148,13 +144,15 @@ _MINUS_ONE = Scalar(-1)
 #
 # An integer form is (den, re, im): integer rows ``re`` and ``im`` (None
 # when every imaginary part is zero) with ``entries == (re + i*im)/den``.
+# Rows are always lists, so forms compare and hash alike.
 
 
-def _int_form(rows: Sequence[Sequence[Scalar]]) -> tuple[int, list, list | None]:
+def _integer_form(rows: Sequence[Sequence[Scalar]]) -> tuple[int, list, list | None]:
     """Common positive denominator and integer numerator rows of Scalar rows.
 
-    The shared ``ZERO`` and zero-Fraction objects are recognised by
-    identity first, which skips most Fraction calls on sparse rows.
+    The denominator is the least common one, so the form is in lowest
+    terms.  The shared ``ZERO`` and zero-Fraction objects are recognised
+    by identity first, which skips most Fraction calls on sparse rows.
     """
     den = 1
     gaussian = False
@@ -183,7 +181,7 @@ def _int_form(rows: Sequence[Sequence[Scalar]]) -> tuple[int, list, list | None]
 
 
 def _vector_form(v: Sequence[ScalarLike]) -> tuple[int, list[int], list[int] | None]:
-    den, re, im = _int_form([[x if type(x) is Scalar else scalar(x) for x in v]])
+    den, re, im = _integer_form([[x if type(x) is Scalar else scalar(x) for x in v]])
     return den, re[0], None if im is None else im[0]
 
 
@@ -211,6 +209,14 @@ def _imatmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], width: int)
 
 def _imatvec(A: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     return [sum(map(mul, row, v)) for row in A]
+
+
+def _ikron(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> list[list[int]]:
+    return [[a * b for a in arow for b in brow] for arow in A for brow in B]
+
+
+def _transposed(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+    return [list(c) for c in zip(*rows)] if rows else [[] for _ in range(ncols)]
 
 
 def _combine(x: list | None, y: list | None, sign: int = 1) -> list | None:
@@ -243,6 +249,24 @@ def _gaussian_product(f, ar, ai, br, bi):
     return re, im
 
 
+def _common_form(ms: Sequence["ExactMatrix"]) -> tuple[int, list[tuple[list, list | None]]]:
+    """A common denominator of ms and each one's (re, im) numerator rows over it.
+
+    The imaginary rows are None for every matrix when all are real, and
+    zeros for the real ones otherwise.
+    """
+    den = lcm(*(m.den for m in ms))
+    gaussian = any(m.im is not None for m in ms)
+    parts = []
+    for m in ms:
+        im = m.im
+        if im is None and gaussian:
+            im = [[0] * m.cols for _ in range(m.rows)]
+        s = den // m.den
+        parts.append((_scaled(m.re, s), None if im is None else _scaled(im, s)))
+    return den, parts
+
+
 # ----------------------------------------------------------------------
 # fraction-free elimination
 
@@ -254,10 +278,11 @@ def _eliminate(m: list, gaussian: bool) -> tuple[list[int], list]:
     ``gaussian``.  A row operation replaces a row by ``a*row - b*pivot_row``
     (a, b the pivot entry and the row's entry over their gcd) and then
     divides out the content (gcd of all entries), so no fraction is ever
-    formed and entries stay small.  Returns ``(pivots, scales)``: the
-    first ``len(pivots)`` rows are the pivot rows, each zero at every
-    other pivot column, and the determinant of ``m`` has been multiplied
-    by the product of ``a/content`` over ``scales`` (``a`` an int or an
+    formed and entries stay small.  Only ``m`` is changed, never a row
+    list it holds.  Returns ``(pivots, scales)``: the first
+    ``len(pivots)`` rows are the pivot rows, each zero at every other
+    pivot column, and the determinant of ``m`` has been multiplied by the
+    product of ``a/content`` over ``scales`` (``a`` an int or an
     ``(re, im)`` pair), times -1 per row swap (recorded as ``(-1, 1)``).
     """
     nrows = len(m)
@@ -318,52 +343,56 @@ def _eliminate(m: list, gaussian: bool) -> tuple[list[int], list]:
     return pivots, scales
 
 
-def _primitive_rows(rows: Sequence[Sequence[Scalar]]) -> tuple[list, bool]:
-    """Each row scaled to integers with content 1, in the form ``_eliminate`` takes."""
-    forms = [_int_form([row]) for row in rows]
-    gaussian = any(im is not None for _, _, im in forms)
-    out = []
-    for _, (re,), im in forms:
-        im = [0] * len(re) if im is None else im[0]
-        h = gcd(*re, *im) if gaussian else gcd(*re)
-        if h > 1:
-            re = [x // h for x in re]
-            im = [x // h for x in im]
-        out.append((re, im) if gaussian else re)
-    return out, gaussian
+def _row_reduce(re: Sequence[list[int]], im: Sequence[list[int]] | None = None,
+                ) -> tuple["ExactMatrix", list[int]]:
+    """Reduced row echelon form of the integer rows re + i*im (im None when real).
 
-
-def _row_reduce(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
-
-    Elimination is fraction-free on primitive integer rows; fractions
-    appear only when each pivot row is finally divided by its pivot.
-    The reduced echelon form is unique, so the result is the one exact
-    Gauss-Jordan elimination over Q[i] gives.
+    Only the row space matters, so rows need no common denominator.
+    Each row is scaled to coprime integers and eliminated fraction-free;
+    pivot rows are divided by their pivots only in the returned matrix.
+    Returns (the nonzero reduced rows, pivot columns).  The reduced
+    echelon form is unique, so it is the one exact Gauss-Jordan
+    elimination over Q[i] gives.
     """
-    m, gaussian = _primitive_rows(rows)
+    width = len(re[0]) if re else 0
+    gaussian = im is not None and any(map(any, im))
+    m: list = []
+    for k, row in enumerate(re):
+        irow = im[k] if gaussian else ()
+        h = gcd(*row, *irow)
+        if h > 1:
+            row = [x // h for x in row]
+            irow = [x // h for x in irow]
+        m.append((row, irow) if gaussian else row)
     pivots, _ = _eliminate(m, gaussian)
-    out = []
+    out_re, out_im = [], []
+    if gaussian:
+        # row/(p + i*q) = row*(p - i*q)/(p^2 + q^2)
+        norms = [x[c] * x[c] + y[c] * y[c] for (x, y), c in zip(m, pivots)]
+        den = lcm(*norms)
+        for (x_row, y_row), c, n in zip(m, pivots, norms):
+            p, q, s = x_row[c], y_row[c], den // n
+            out_re.append([(x * p + y * q) * s for x, y in zip(x_row, y_row)])
+            out_im.append([(y * p - x * q) * s for x, y in zip(x_row, y_row)])
+        return ExactMatrix._from_ints(width, den, out_re, out_im), pivots
+    den = lcm(*(abs(row[c]) for row, c in zip(m, pivots)))
     for row, c in zip(m, pivots):
-        if gaussian:
-            re, im = row
-            pre, pim = re[c], im[c]
-            n = pre * pre + pim * pim
-            out.append(list(_scalar_row(n, [x * pre + y * pim for x, y in zip(re, im)],
-                                        [y * pre - x * pim for x, y in zip(re, im)])))
-        else:
-            out.append(list(_scalar_row(row[c], row, None)))
-    return out, pivots
+        s = den // row[c]
+        out_re.append([x * s for x in row])
+    return ExactMatrix._from_ints(width, den, out_re), pivots
 
 
 class ExactMatrix:
-    """A dense matrix of :class:`Scalar` entries, row-major, immutable.
+    """An immutable matrix over Q[i], stored as one integer form.
 
-    The integer form used by the arithmetic kernels is computed on first
-    use and cached.
+    ``den`` is a positive common denominator and ``re``/``im`` are the
+    integer numerator rows of the real and imaginary parts (``im`` is
+    None when every entry is real), in lowest terms, so equal matrices
+    have equal forms.  :class:`Scalar` entries are built when first read
+    and cached, or kept as given when the matrix is built from them.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_ints")
+    __slots__ = ("rows", "cols", "den", "re", "im", "_entries")
 
     def __init__(self, entries: Iterable[Iterable[ScalarLike]], cols: int | None = None):
         grid = tuple(tuple([e if type(e) is Scalar else scalar(e) for e in row])
@@ -377,16 +406,16 @@ class ExactMatrix:
             self.cols = 0 if cols is None else cols
         if cols is not None and self.cols != cols:
             raise ValueError("column count mismatch")
-        self.entries = grid
-        self._ints = None
+        self.den, self.re, self.im = _integer_form(grid)
+        self._entries = grid
 
     @staticmethod
     def _from_ints(cols: int, den: int, re: list[list[int]],
-                   im: list[list[int]] | None) -> "ExactMatrix":
-        """The matrix (re + i*im)/den, with its integer form reduced to lowest terms."""
+                   im: list[list[int]] | None = None) -> "ExactMatrix":
+        """The matrix (re + i*im)/den, brought to lowest terms."""
         if im is not None and not any(map(any, im)):
             im = None
-        g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im or ()))
+        g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im or ())) if den > 1 else 1
         if g > 1:
             den //= g
             re = [[x // g for x in row] for row in re]
@@ -395,24 +424,31 @@ class ExactMatrix:
         M = object.__new__(ExactMatrix)
         M.rows = len(re)
         M.cols = cols
-        M.entries = tuple(_scalar_row(den, row, None if im is None else im[i])
-                          for i, row in enumerate(re))
-        M._ints = (den, re, im)
+        M.den, M.re, M.im = den, re, im
+        M._entries = None
         return M
 
-    def _int_form(self) -> tuple[int, list[list[int]], list[list[int]] | None]:
-        if self._ints is None:
-            self._ints = _int_form(self.entries)
-        return self._ints
+    def _map(self, cols: int, f: Callable[[list], list]) -> "ExactMatrix":
+        """The matrix over the same denominator whose numerator rows are f of these."""
+        return ExactMatrix._from_ints(cols, self.den, f(self.re),
+                                      None if self.im is None else f(self.im))
+
+    @property
+    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
+        if self._entries is None:
+            im = self.im
+            self._entries = tuple(_scalar_row(self.den, row, None if im is None else im[i])
+                                  for i, row in enumerate(self.re))
+        return self._entries
 
     # -- constructors ----------------------------------------------
     @staticmethod
     def zeros(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix([[ZERO] * cols for _ in range(rows)], cols=cols)
+        return ExactMatrix._from_ints(cols, 1, [[0] * cols for _ in range(rows)])
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return ExactMatrix._from_ints(n, 1, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @staticmethod
     def diagonal(values: Sequence[ScalarLike]) -> "ExactMatrix":
@@ -426,9 +462,13 @@ class ExactMatrix:
         if not cols:
             if ambient_dim is None:
                 raise ValueError("ambient_dim required for an empty column list")
-            return ExactMatrix([[] for _ in range(ambient_dim)], cols=0)
-        n = len(cols[0])
-        return ExactMatrix([[cols[j][i] for j in range(len(cols))] for i in range(n)])
+            return ExactMatrix.zeros(ambient_dim, 0)
+        if not cols[0]:
+            # zero-length columns give 0x0, not 0 x len(columns): the top
+            # primitive level of hodgestruct._primitive_polarized reads
+            # "trivial" through this, and its reports depend on it
+            return ExactMatrix([])
+        return ExactMatrix(cols).transpose()
 
     @staticmethod
     def from_function(rows: int, cols: int, f: Callable[[int, int], ScalarLike]) -> "ExactMatrix":
@@ -439,7 +479,7 @@ class ExactMatrix:
         return self.entries[ij[0]][ij[1]]
 
     def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple(row[j] for row in self.entries)
 
     def columns(self) -> list[tuple[Scalar, ...]]:
         return [self.column(j) for j in range(self.cols)]
@@ -447,17 +487,15 @@ class ExactMatrix:
     def row(self, i: int) -> tuple[Scalar, ...]:
         return self.entries[i]
 
+    def _rows_at(self, indices: Sequence[int]) -> "ExactMatrix":
+        return self._map(self.cols, lambda rows: [rows[i] for i in indices])
+
     # -- algebra -----------------------------------------------------
     def _plus(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
         self._same_shape(other)
-        da, ra, ia = self._int_form()
-        db, rb, ib = other._int_form()
-        den = lcm(da, db)
-        sa, sb = den // da, sign * (den // db)
-        re = _combine(_scaled(ra, sa), _scaled(rb, sb))
-        im = _combine(None if ia is None else _scaled(ia, sa),
-                      None if ib is None else _scaled(ib, sb))
-        return ExactMatrix._from_ints(self.cols, den, re, im)
+        den, ((ra, ia), (rb, ib)) = _common_form([self, other])
+        return ExactMatrix._from_ints(self.cols, den, _combine(ra, rb, sign),
+                                      _combine(ia, ib, sign))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self._plus(other, 1)
@@ -466,30 +504,27 @@ class ExactMatrix:
         return self._plus(other, -1)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-a for a in r] for r in self.entries], cols=self.cols)
+        return self._map(self.cols, lambda rows: _scaled(rows, -1))
 
     def scale(self, c: ScalarLike) -> "ExactMatrix":
         dc, (cre,), cim = _vector_form([c])
-        den, re, im = self._int_form()
-        re, im = _gaussian_product(_scaled, re, im, cre, None if cim is None else cim[0])
-        return ExactMatrix._from_ints(self.cols, den * dc, re, im)
+        re, im = _gaussian_product(_scaled, self.re, self.im, cre, None if cim is None else cim[0])
+        return ExactMatrix._from_ints(self.cols, self.den * dc, re, im)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        da, ra, ia = self._int_form()
-        db, rb, ib = other._int_form()
         width = other.cols
-        re, im = _gaussian_product(lambda A, B: _imatmul(A, B, width), ra, ia, rb, ib)
-        return ExactMatrix._from_ints(width, da * db, re, im)
+        re, im = _gaussian_product(lambda A, B: _imatmul(A, B, width),
+                                   self.re, self.im, other.re, other.im)
+        return ExactMatrix._from_ints(width, self.den * other.den, re, im)
 
     def apply(self, v: Sequence[ScalarLike]) -> tuple[Scalar, ...]:
         """Matrix-vector product as a tuple."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         dv, vre, vim = _vector_form(v)
-        den, re, im = self._int_form()
-        return _scalar_row(den * dv, *_gaussian_product(_imatvec, re, im, vre, vim))
+        return _scalar_row(self.den * dv, *_gaussian_product(_imatvec, self.re, self.im, vre, vim))
 
     def power(self, k: int) -> "ExactMatrix":
         if self.rows != self.cols:
@@ -502,40 +537,43 @@ class ExactMatrix:
         return result
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([[self.entries[i][j] for i in range(self.rows)]
-                            for j in range(self.cols)], cols=self.rows)
+        return self._map(self.rows, lambda rows: _transposed(rows, self.cols))
 
     def conjugate(self) -> "ExactMatrix":
-        return ExactMatrix([[a.conj() for a in r] for r in self.entries], cols=self.cols)
+        return ExactMatrix._from_ints(self.cols, self.den, self.re,
+                                      None if self.im is None else _scaled(self.im, -1))
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return ExactMatrix([r1 + r2 for r1, r2 in zip(self.entries, other.entries)],
-                           cols=self.cols + other.cols)
+        den, ((ra, ia), (rb, ib)) = _common_form([self, other])
+        im = None if ia is None else [x + y for x, y in zip(ia, ib)]
+        return ExactMatrix._from_ints(self.cols + other.cols, den,
+                                      [x + y for x, y in zip(ra, rb)], im)
 
     def commutator(self, other: "ExactMatrix") -> "ExactMatrix":
         return self @ other - other @ self
 
     def is_zero(self) -> bool:
-        if self._ints is not None:
-            _, re, im = self._ints
-            return not any(map(any, re)) and (im is None or not any(map(any, im)))
-        return all(not a for r in self.entries for a in r)
+        return self.im is None and not any(map(any, self.re))
+
+    def is_real(self) -> bool:
+        return self.im is None
 
     def trace(self) -> Scalar:
-        acc = ZERO
-        for i in range(min(self.rows, self.cols)):
-            acc = acc + self.entries[i][i]
-        return acc
+        diagonal = range(min(self.rows, self.cols))
+        im = [0] if self.im is None else [sum(self.im[i][i] for i in diagonal)]
+        return _scalar_row(self.den, [sum(self.re[i][i] for i in diagonal)], im)[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
+        return ((self.rows, self.cols, self.den, self.re, self.im)
+                == (other.rows, other.cols, other.den, other.re, other.im))
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.den, tuple(map(tuple, self.re)),
+                     None if self.im is None else tuple(map(tuple, self.im))))
 
     def _same_shape(self, other: "ExactMatrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -544,6 +582,32 @@ class ExactMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(repr(a) for a in r) for r in self.entries)
         return f"ExactMatrix[{self.rows}x{self.cols}: {body}]"
+
+
+def vstack(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
+    """The blocks stacked top to bottom."""
+    cols = blocks[0].cols
+    if any(b.cols != cols for b in blocks):
+        raise ValueError("column count mismatch in vstack")
+    den, parts = _common_form(blocks)
+    im = None if parts[0][1] is None else [row for _, part in parts for row in part]
+    return ExactMatrix._from_ints(cols, den, [row for re, _ in parts for row in re], im)
+
+
+def block_diag(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
+    """The block-diagonal matrix with the given blocks, top left to bottom right."""
+    total, offset, rows = sum(b.cols for b in blocks), 0, []
+    for b in blocks:
+        after = ExactMatrix.zeros(b.rows, total - offset - b.cols)
+        rows.append(ExactMatrix.zeros(b.rows, offset).hstack(b).hstack(after))
+        offset += b.cols
+    return vstack(rows)
+
+
+def kron(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
+    """Kronecker product: entry (i*B.rows + k, j*B.cols + l) is A[i, j] * B[k, l]."""
+    re, im = _gaussian_product(_ikron, A.re, A.im, B.re, B.im)
+    return ExactMatrix._from_ints(A.cols * B.cols, A.den * B.den, re, im)
 
 
 class Subspace:
@@ -559,21 +623,12 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "basis", "_pivots")
 
-    def __init__(self, ambient_dim: int, basis: ExactMatrix, _pivots: tuple[int, ...] | None = None):
+    def __init__(self, ambient_dim: int, basis: ExactMatrix, pivots: tuple[int, ...]):
         if basis.rows != ambient_dim:
             raise ValueError("basis ambient dimension mismatch")
         self.ambient_dim = ambient_dim
         self.basis = basis
-        if _pivots is None:
-            _pivots = tuple(self._leading_index(basis.column(j)) for j in range(basis.cols))
-        self._pivots = _pivots
-
-    @staticmethod
-    def _leading_index(col: Sequence[Scalar]) -> int:
-        for i, a in enumerate(col):
-            if a:
-                return i
-        raise ValueError("zero column in a canonical basis")
+        self._pivots = pivots
 
     # -- constructors ----------------------------------------------
     @staticmethod
@@ -582,13 +637,11 @@ class Subspace:
         for row in gen_rows:
             if len(row) != ambient_dim:
                 raise ValueError("generator length mismatch")
-        red, pivots = _row_reduce(gen_rows)
-        basis = ExactMatrix.from_columns([row for row in red], ambient_dim=ambient_dim)
-        return Subspace(ambient_dim, basis, tuple(pivots))
+        return _row_space(ExactMatrix(gen_rows, cols=ambient_dim))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ExactMatrix.from_columns([], ambient_dim=ambient_dim), ())
+        return Subspace(ambient_dim, ExactMatrix.zeros(ambient_dim, 0), ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
@@ -617,12 +670,12 @@ class Subspace:
         dw, wre, wim = _vector_form(v)
         if len(wre) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        db, bre, bim = self.basis._int_form()
+        B = self.basis
         cre = [wre[p] for p in self._pivots]
         cim = None if wim is None else [wim[p] for p in self._pivots]
-        pre, pim = _gaussian_product(_imatvec, bre, bim, cre, cim)
-        return (dw * db, _combine(_scaled(wre, db), pre, -1),
-                _combine(None if wim is None else _scaled(wim, db), pim, -1))
+        pre, pim = _gaussian_product(_imatvec, B.re, B.im, cre, cim)
+        return (dw * B.den, _combine(_scaled(wre, B.den), pre, -1),
+                _combine(None if wim is None else _scaled(wim, B.den), pim, -1))
 
     def reduce_mod(self, v: Sequence[ScalarLike]) -> tuple[Scalar, ...]:
         """Subtract the canonical projection onto this subspace.
@@ -639,7 +692,8 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(self.contains_vector(c) for c in other.basis_columns())
+        # the residual of _residual, for all of other's basis at once
+        return self.basis @ other.basis._rows_at(self._pivots) == other.basis
 
     def coordinates(self, v: Sequence[ScalarLike]) -> tuple[Scalar, ...]:
         """Coordinates of v in the canonical basis (v must lie in the subspace)."""
@@ -665,25 +719,38 @@ class Subspace:
 # subspace operations
 
 
+def _row_space(M: ExactMatrix) -> Subspace:
+    """The span of the rows of M, in canonical form."""
+    if not M.rows:
+        return Subspace.zero(M.cols)
+    red, pivots = _row_reduce(M.re, M.im)
+    return Subspace(M.cols, red.transpose(), tuple(pivots))
+
+
 def kernel(M: ExactMatrix) -> Subspace:
     """Exact null space of M, in canonical form."""
-    red, pivots = _row_reduce([list(r) for r in M.entries])
+    red, pivots = _row_reduce(M.re, M.im)
     pivot_set = set(pivots)
     free = [c for c in range(M.cols) if c not in pivot_set]
-    gens = []
-    for f in free:
-        # -(e_f - sum_r red[r][f] e_{p_r}): the same span, without negating entries
-        v = [ZERO] * M.cols
-        v[f] = _MINUS_ONE
-        for r, p in enumerate(pivots):
-            v[p] = red[r][f]
-        gens.append(v)
-    return Subspace.from_columns(M.cols, gens)
+
+    def generators(rows: list[list[int]], unit: int) -> list[list[int]]:
+        # red.den * -(e_f - sum_r red[r][f] e_{p_r}): the same span, in integers
+        gens = []
+        for f in free:
+            v = [0] * M.cols
+            v[f] = unit
+            for row, p in zip(rows, pivots):
+                v[p] = row[f]
+            gens.append(v)
+        return gens
+
+    im = None if red.im is None else generators(red.im, 0)
+    return _row_space(ExactMatrix._from_ints(M.cols, 1, generators(red.re, -red.den), im))
 
 
 def image(M: ExactMatrix) -> Subspace:
     """Exact column space of M, in canonical form."""
-    return Subspace.from_columns(M.rows, M.columns())
+    return _row_space(M.transpose())
 
 
 def intersect(A: Subspace, B: Subspace) -> Subspace:
@@ -693,17 +760,13 @@ def intersect(A: Subspace, B: Subspace) -> Subspace:
         return Subspace.zero(A.ambient_dim)
     # Ax = -By and Ax = By have the same solutions x up to the sign of y
     ker = kernel(A.basis.hstack(B.basis))
-    gens = []
-    for col in ker.basis_columns():
-        x = col[:A.dim]
-        gens.append(A.basis.apply(x))
-    return Subspace.from_columns(A.ambient_dim, gens)
+    return image(A.basis @ ker.basis._rows_at(range(A.dim)))
 
 
 def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
     if A.ambient_dim != B.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return Subspace.from_columns(A.ambient_dim, A.basis_columns() + B.basis_columns())
+    return image(A.basis.hstack(B.basis))
 
 
 def preimage(M: ExactMatrix, B: Subspace) -> Subspace:
@@ -713,15 +776,27 @@ def preimage(M: ExactMatrix, B: Subspace) -> Subspace:
     if B.dim == 0:
         return kernel(M)
     ker = kernel(M.hstack(B.basis))  # Mv = By for some y, up to the sign of y
-    gens = [col[:M.cols] for col in ker.basis_columns()]
-    return Subspace.from_columns(M.cols, gens)
+    return image(ker.basis._rows_at(range(M.cols)))
 
 
 def apply_to_subspace(M: ExactMatrix, V: Subspace) -> Subspace:
     """Image M(V) of a subspace under a matrix."""
     if M.cols != V.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return Subspace.from_columns(M.rows, [M.apply(c) for c in V.basis_columns()])
+    return image(M @ V.basis)
+
+
+def matrix_between(M: ExactMatrix, V: Subspace, U: Subspace) -> ExactMatrix:
+    """Matrix of M from V to U in their canonical bases.
+
+    Raises ValueError if M does not map V into U.
+    """
+    MV = M @ V.basis
+    # canonical coordinates are the entries at the pivots
+    X = MV._rows_at(U.pivots())
+    if U.basis @ X != MV:
+        raise ValueError("vector not in subspace")
+    return X
 
 
 def restrict_to_subspace(M: ExactMatrix, V: Subspace) -> ExactMatrix:
@@ -729,10 +804,7 @@ def restrict_to_subspace(M: ExactMatrix, V: Subspace) -> ExactMatrix:
 
     Raises ValueError if M does not map V into itself.
     """
-    cols = []
-    for c in V.basis_columns():
-        cols.append(V.coordinates(M.apply(c)))
-    return ExactMatrix.from_columns(cols, ambient_dim=V.dim)
+    return matrix_between(M, V, V)
 
 
 def solve(A: ExactMatrix, b: Sequence[ScalarLike]) -> tuple[Scalar, ...] | None:
@@ -740,19 +812,18 @@ def solve(A: ExactMatrix, b: Sequence[ScalarLike]) -> tuple[Scalar, ...] | None:
     bb = [scalar(x) for x in b]
     if len(bb) != A.rows:
         raise ValueError("rhs length mismatch")
-    aug = [list(r) + [bb[i]] for i, r in enumerate(A.entries)]
-    red, pivots = _row_reduce(aug)
+    aug = A.hstack(ExactMatrix([[x] for x in bb], cols=1))
+    red, pivots = _row_reduce(aug.re, aug.im)
     if A.cols in pivots:
         return None
     x = [ZERO] * A.cols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][A.cols]
+    for p, value in zip(pivots, red.column(A.cols)):
+        x[p] = value
     return tuple(x)
 
 
 def rank(M: ExactMatrix) -> int:
-    _, pivots = _row_reduce([list(r) for r in M.entries])
-    return len(pivots)
+    return len(_row_reduce(M.re, M.im)[1])
 
 
 def _gaussian_int_product(values: Iterable) -> tuple[int, int]:
@@ -776,15 +847,14 @@ def determinant(M: ExactMatrix) -> Scalar:
     if M.rows != M.cols:
         raise ValueError("determinant of a non-square matrix")
     n = M.rows
-    den, re, im = M._int_form()
-    gaussian = im is not None
-    m = [(list(a), list(b)) for a, b in zip(re, im)] if gaussian else [list(a) for a in re]
+    gaussian = M.im is not None
+    m = list(zip(M.re, M.im)) if gaussian else list(M.re)
     pivots, scales = _eliminate(m, gaussian)
     if len(pivots) < n:
         return ZERO
     diag = [(row[0][c], row[1][c]) if gaussian else row[c] for row, c in zip(m, pivots)]
     num = _gaussian_int_product(chain(diag, (h for _, h in scales)))
-    dden = _gaussian_int_product(chain((a for a, _ in scales), [den ** n]))
+    dden = _gaussian_int_product(chain((a for a, _ in scales), [M.den ** n]))
     return Scalar(num[0], num[1]) / Scalar(dden[0], dden[1])
 
 
@@ -793,12 +863,11 @@ def inverse(M: ExactMatrix) -> ExactMatrix:
     if M.rows != M.cols:
         raise ValueError("inverse of a non-square matrix")
     n = M.rows
-    aug = [list(r) + [ONE if i == j else ZERO for j in range(n)]
-           for i, r in enumerate(M.entries)]
-    red, pivots = _row_reduce(aug)
+    aug = M.hstack(ExactMatrix.identity(n))
+    red, pivots = _row_reduce(aug.re, aug.im)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return ExactMatrix([row[n:] for row in red], cols=n)
+    return red._map(n, lambda rows: [row[n:] for row in rows])
 
 
 def exp_nilpotent(N: ExactMatrix, coeff: ScalarLike = 1) -> ExactMatrix:

@@ -36,8 +36,12 @@ from .exactla import (
     Subspace,
     apply_to_subspace,
     bigraded_pieces,
+    block_diag,
     exp_nilpotent,
+    kron,
+    matrix_between,
     rank,
+    vstack,
 )
 from .growth import _weight_filtration, minimal_weight
 from .sl2rep import Model, alpha_basis, isotypic_decomposition
@@ -324,25 +328,13 @@ def _differentials(
     """d0 = (m1, m2) and d1 = (m2, -m1) of s0 -> s1a⊕s1b -> s2 in the canonical bases.
 
     The maps must be well defined on the subspaces (see
-    ``_check_well_defined``).  A matrix with no rows keeps no column
-    count, so read dimensions off the subspaces, not the matrices.
+    ``_check_well_defined``).
     """
-    d0_cols = []
-    for v in s0.basis_columns():
-        a = s1a.coordinates(m1.apply(v))
-        b = s1b.coordinates(m2.apply(v))
-        d0_cols.append(a + b)
-    d1_cols = []
-    for v in s1a.basis_columns():
-        d1_cols.append(s2.coordinates(m2.apply(v)))
-    for v in s1b.basis_columns():
-        w = m1.apply(v)
-        d1_cols.append(s2.coordinates(tuple(-x for x in w)))
-    d0 = ExactMatrix.from_columns(d0_cols, ambient_dim=s1a.dim + s1b.dim)
-    d1 = ExactMatrix.from_columns(d1_cols, ambient_dim=s2.dim)
+    d0 = vstack([matrix_between(m1, s0, s1a), matrix_between(m2, s0, s1b)])
+    d1 = matrix_between(m2, s1a, s2).hstack(-matrix_between(m1, s1b, s2))
     # d1∘d0 vanishes because the (possibly shifted) operators commute;
     # verify exactly rather than trusting the caller.
-    if s0.dim and s2.dim and not (d1 @ d0).is_zero():
+    if not (d1 @ d0).is_zero():
         raise IllFormedComplex("composite differential is nonzero")
     return d0, d1
 
@@ -423,29 +415,15 @@ def koszul_cohomology(datum: MonodromyDatum) -> tuple[int, int, int]:
     dim = datum.dimension
     t1 = exp_nilpotent(datum.n1) - ExactMatrix.identity(dim)
     t2 = exp_nilpotent(datum.n2) - ExactMatrix.identity(dim)
-    d0_cols = [tuple(t1.column(k)) + tuple(t2.column(k)) for k in range(dim)]
-    d1_cols = [t2.column(k) for k in range(dim)]
-    d1_cols += [tuple(-x for x in t1.column(k)) for k in range(dim)]
-    r0 = Subspace.from_columns(2 * dim, d0_cols).dim
-    r1 = Subspace.from_columns(dim, d1_cols).dim
+    r0 = rank(vstack([t1, t2]))
+    r1 = rank(t2.hstack(-t1))
     return (dim - r0, 2 * dim - r0 - r1, dim - r1)
 
 
 def _ad_matrix(n: ExactMatrix) -> ExactMatrix:
     """Matrix of X ↦ NX - XN on End(H) in the row-major matrix-unit basis."""
-    d = n.rows
-
-    def entry(row: int, col: int) -> Scalar:
-        i, j = divmod(row, d)
-        a, b = divmod(col, d)
-        value = Scalar(0)
-        if j == b:
-            value = value + n[i, a]
-        if i == a:
-            value = value - n[b, j]
-        return value
-
-    return ExactMatrix.from_function(d * d, d * d, entry)
+    one = ExactMatrix.identity(n.rows)
+    return kron(n, one) - kron(one, n.transpose())
 
 
 def end_datum(datum: MonodromyDatum) -> MonodromyDatum:
@@ -583,42 +561,22 @@ def total_cohomology(dc: DoubleComplex) -> tuple[int, ...]:
     degrees = sorted({p + q for p, q in keys})
     lo, hi = degrees[0], degrees[-1]
     layout: dict[int, list[tuple[int, int]]] = {
-        n: sorted(k for k in keys if sum(k) == n) for n in range(lo, hi + 1)
+        n: sorted(k for k in keys if sum(k) == n) for n in range(lo, hi + 2)
     }
-
-    def offsets(n: int) -> tuple[dict, int]:
-        off, pos = {}, 0
-        for k in layout.get(n, []):
-            off[k] = pos
-            pos += dc.spaces[k]
-        return off, pos
-
     ranks: dict[int, int] = {}
-    dims: dict[int, int] = {}
     for n in range(lo, hi + 1):
-        src_off, src_dim = offsets(n)
-        tgt_off, tgt_dim = offsets(n + 1)
-        dims[n] = src_dim
-        cols = []
-        for key in layout.get(n, []):
-            p, q = key
-            for c in range(dc.spaces[key]):
-                col = [Scalar(0)] * tgt_dim
-                basis_vec = [Scalar(0)] * dc.spaces[key]
-                basis_vec[c] = Scalar(1)
-                for m, tgt in ((hor.get(key), (p + 1, q)), (ver.get(key), (p, q + 1))):
-                    if m is None or tgt not in tgt_off:
-                        continue
-                    w = m.apply(basis_vec)
-                    base = tgt_off[tgt]
-                    for r, x in enumerate(w):
-                        col[base + r] = col[base + r] + x
-                cols.append(tuple(col))
-        ranks[n] = Subspace.from_columns(tgt_dim, cols).dim if tgt_dim else 0
-    betti = []
-    for n in range(lo, hi + 1):
-        betti.append(dims[n] - ranks.get(n, 0) - ranks.get(n - 1, 0))
-    return tuple(betti)
+        ranks[n] = 0
+        if not (layout[n] and layout[n + 1]):
+            continue
+        # the total differential T^n -> T^(n+1), transposed: one row block per source
+        blocks = []
+        for p, q in layout[n]:
+            maps = {(p + 1, q): hor[(p, q)], (p, q + 1): ver[(p, q)]}
+            blocks.append(vstack([maps.get(t) or ExactMatrix.zeros(dc.spaces[t], dc.spaces[(p, q)])
+                                  for t in layout[n + 1]]).transpose())
+        ranks[n] = rank(vstack(blocks))
+    return tuple(sum(dc.spaces[k] for k in layout[n]) - ranks[n] - ranks.get(n - 1, 0)
+                 for n in range(lo, hi + 1))
 
 
 def two_chart_cover(c: StalkComplex) -> DoubleComplex:
@@ -639,27 +597,14 @@ def two_chart_cover(c: StalkComplex) -> DoubleComplex:
         if dim:
             spaces[(0, q)] = 2 * dim
             spaces[(1, q)] = dim
-
-    def block_diag(m: ExactMatrix) -> ExactMatrix:
-        def entry(r, ccol):
-            if r < m.rows and ccol < m.cols:
-                return m[r, ccol]
-            if r >= m.rows and ccol >= m.cols:
-                return m[r - m.rows, ccol - m.cols]
-            return 0
-
-        return ExactMatrix.from_function(2 * m.rows, 2 * m.cols, entry)
-
     for q in (0, 1):
         m = qmaps[q]
         if m.rows and m.cols:
-            vertical[(0, q)] = block_diag(m)
+            vertical[(0, q)] = block_diag([m, m])
             vertical[(1, q)] = -m
     for q, dim in qdims.items():
         if dim:
-            horizontal[(0, q)] = ExactMatrix.from_function(
-                dim, 2 * dim, lambda r, ccol: 1 if ccol == r else (-1 if ccol == r + dim else 0)
-            )
+            horizontal[(0, q)] = ExactMatrix.identity(dim).hstack(-ExactMatrix.identity(dim))
     return DoubleComplex(spaces=spaces, horizontal=horizontal, vertical=vertical)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .exactla import (
     ExactMatrix,
@@ -31,17 +31,18 @@ from .exactla import (
     ZERO,
     apply_to_subspace,
     bilinear,
+    block_diag,
     conj_vector,
     exp_nilpotent,
     image,
     intersect,
     inverse,
     kernel,
-    rank,
+    kron,
     restrict_to_subspace,
-    scalar,
     solve,
     subspace_sum,
+    vstack,
 )
 
 Bigrading = dict[tuple[int, int], Subspace]
@@ -128,7 +129,7 @@ class Sl2PairAction:
         return self.nplus[j] + self.nminus[j] - self.y[j].scale(I)
 
     def is_real(self) -> bool:
-        return all(a.im == 0 for m in self.generators() for row in m.entries for a in row)
+        return all(m.is_real() for m in self.generators())
 
 
 # ----------------------------------------------------------------------
@@ -261,32 +262,12 @@ def _etype_model(p: int, q: int) -> Model:
     return Model(p + q, bigrading, action, S, ["e1", "e2"])
 
 
-def _kron(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
-    rows = A.rows * B.rows
-    cols = A.cols * B.cols
-    out = [[ZERO] * cols for _ in range(rows)]
-    for i in range(A.rows):
-        for j in range(A.cols):
-            a = A.entries[i][j]
-            if not a:
-                continue
-            for k in range(B.rows):
-                for l in range(B.cols):
-                    out[i * B.rows + k][j * B.cols + l] = a * B.entries[k][l]
-    return ExactMatrix(out, cols=cols)
-
-
-def _kron_vec(u: Sequence[Scalar], v: Sequence[Scalar]) -> list[Scalar]:
-    return [a * b for a in u for b in v]
-
-
 def tensor_models(A: Model, B: Model) -> Model:
     """Tensor product model: actions by the Leibniz rule, forms by products."""
-    da, db = A.dim, B.dim
-    ia, ib = ExactMatrix.identity(da), ExactMatrix.identity(db)
+    ia, ib = ExactMatrix.identity(A.dim), ExactMatrix.identity(B.dim)
 
     def mix(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
-        return _kron(x, ib) + _kron(ia, y)
+        return kron(x, ib) + kron(ia, y)
 
     action = Sl2PairAction(
         tuple(mix(A.action.nminus[j], B.action.nminus[j]) for j in (0, 1)),
@@ -297,15 +278,11 @@ def tensor_models(A: Model, B: Model) -> Model:
     for (p1, q1), s1 in A.bigrading.items():
         for (p2, q2), s2 in B.bigrading.items():
             key = (p1 + p2, q1 + q2)
-            gens = [_kron_vec(u, v) for u in s1.basis_columns() for v in s2.basis_columns()]
-            if key in bigrading:
-                bigrading[key] = subspace_sum(
-                    bigrading[key], Subspace.from_columns(da * db, gens))
-            else:
-                bigrading[key] = Subspace.from_columns(da * db, gens)
+            piece = image(kron(s1.basis, s2.basis))  # spanned by the u (x) v
+            bigrading[key] = subspace_sum(bigrading[key], piece) if key in bigrading else piece
     labels = [f"{x}*{y}" for x in A.labels for y in B.labels]
     return Model(A.weight + B.weight, bigrading, action,
-                 _kron(A.polarization, B.polarization), labels)
+                 kron(A.polarization, B.polarization), labels)
 
 
 def build_model(kind: str, m: int = 0, n: int = 0, l: int = 0,
@@ -337,33 +314,17 @@ def direct_sum_models(models: Sequence[Model]) -> Model:
     k = models[0].weight
     if any(mo.weight != k for mo in models):
         raise ValueError("direct summands must share a single weight")
-    dims = [mo.dim for mo in models]
-    total = sum(dims)
-    offsets = [sum(dims[:i]) for i in range(len(models))]
-
-    def embed_matrix(ms: list[ExactMatrix]) -> ExactMatrix:
-        out = [[ZERO] * total for _ in range(total)]
-        for off, mmat in zip(offsets, ms):
-            for i in range(mmat.rows):
-                for j in range(mmat.cols):
-                    out[off + i][off + j] = mmat.entries[i][j]
-        return ExactMatrix(out, cols=total)
-
     action = Sl2PairAction(
-        tuple(embed_matrix([mo.action.nminus[j] for mo in models]) for j in (0, 1)),
-        tuple(embed_matrix([mo.action.y[j] for mo in models]) for j in (0, 1)),
-        tuple(embed_matrix([mo.action.nplus[j] for mo in models]) for j in (0, 1)),
+        tuple(block_diag([mo.action.nminus[j] for mo in models]) for j in (0, 1)),
+        tuple(block_diag([mo.action.y[j] for mo in models]) for j in (0, 1)),
+        tuple(block_diag([mo.action.nplus[j] for mo in models]) for j in (0, 1)),
     )
     bigrading: Bigrading = {}
     keys = sorted({key for mo in models for key in mo.bigrading})
     for key in keys:
-        gens = []
-        for off, mo in zip(offsets, models):
-            if key in mo.bigrading:
-                for c in mo.bigrading[key].basis_columns():
-                    gens.append([ZERO] * off + list(c) + [ZERO] * (total - off - mo.dim))
-        bigrading[key] = Subspace.from_columns(total, gens)
-    S = embed_matrix([mo.polarization for mo in models])
+        bigrading[key] = image(block_diag(
+            [mo.bigrading.get(key, Subspace.zero(mo.dim)).basis for mo in models]))
+    S = block_diag([mo.polarization for mo in models])
     labels = [f"{i}:{lab}" for i, mo in enumerate(models) for lab in mo.labels]
     return Model(k, bigrading, action, S, labels)
 
@@ -434,30 +395,12 @@ def complete_sl2_triple(N: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
         raise NoSolution("[Y, N] != -2N")
     if not N.power(d).is_zero():
         raise NoSolution("N is not nilpotent")
-    # unknowns x_{ij} indexed i*d + j
-    rows: list[list[Scalar]] = []
-    rhs: list[Scalar] = []
-    two = scalar(2)
-    for i in range(d):
-        for j in range(d):
-            # ([Y, X] - 2X)_{ij} = sum_k Y_ik x_kj - sum_k x_ik Y_kj - 2 x_ij = 0
-            row = [ZERO] * (d * d)
-            for k in range(d):
-                row[k * d + j] = row[k * d + j] + Y.entries[i][k]
-                row[i * d + k] = row[i * d + k] - Y.entries[k][j]
-            row[i * d + j] = row[i * d + j] - two
-            rows.append(row)
-            rhs.append(ZERO)
-    for i in range(d):
-        for j in range(d):
-            # (X N - N X)_{ij} = Y_{ij}
-            row = [ZERO] * (d * d)
-            for k in range(d):
-                row[i * d + k] = row[i * d + k] + N.entries[k][j]
-                row[k * d + j] = row[k * d + j] - N.entries[i][k]
-            rows.append(row)
-            rhs.append(Y.entries[i][j])
-    sol = solve(ExactMatrix(rows, cols=d * d), rhs)
+    # unknowns x_{ij} indexed i*d + j, so X -> AXB is kron(A, B^T)
+    one = ExactMatrix.identity(d)
+    weight = kron(Y, one) - kron(one, Y.transpose()) - ExactMatrix.identity(d * d).scale(2)
+    bracket = kron(one, N.transpose()) - kron(N, one)
+    # [Y, X] - 2X = 0 and XN - NX = Y
+    sol = solve(vstack([weight, bracket]), [ZERO] * (d * d) + [a for row in Y.entries for a in row])
     if sol is None:
         raise NoSolution("the completion system is inconsistent")
     Nplus = ExactMatrix([[sol[i * d + j] for j in range(d)] for i in range(d)], cols=d)
@@ -645,7 +588,7 @@ def isotypic_decomposition(bigrading: Bigrading, action: Sl2PairAction,
     operator_from_bigrading(bigrading, lambda p, q: 0)  # direct-sum check
     _check_horizontality(bigrading, action)
     if S is not None:
-        if any(a.im != 0 for row in S.entries for a in row):
+        if not S.is_real():
             raise ValueError("polarization must be real in the distinguished basis")
         _check_isometric(S, action)
 
@@ -665,9 +608,6 @@ def isotypic_decomposition(bigrading: Bigrading, action: Sl2PairAction,
     except ValueError as exc:
         raise DecompositionError(f"lowest-weight space is not invariant: {exc}")
     idk = ExactMatrix.identity(kappa)
-
-    def to_ambient(cols_k: Iterable[Sequence[Scalar]]) -> list[tuple[Scalar, ...]]:
-        return [lowest.basis.apply(c) for c in cols_k]
 
     factors: list[IrreducibleFactor] = []
     accounted = 0
@@ -700,10 +640,10 @@ def isotypic_decomposition(bigrading: Bigrading, action: Sl2PairAction,
                 if w == 0:
                     # the w = 0 lowest space is conjugation stable, so its
                     # canonical ambient basis is automatically real
-                    base = Subspace.from_columns(
-                        ambient, to_ambient(mwk.basis_columns())).basis_columns()
-                    if any(a.im != 0 for v in base for a in v):
+                    lifted = apply_to_subspace(lowest.basis, mwk).basis
+                    if not lifted.is_real():
                         raise DecompositionError("lowest space at w=0 is not real")
+                    base = lifted.columns()
                     if S is not None:
                         base = _orthogonalize(base, pairing)
                     l = (k - m - n) // 2
@@ -718,7 +658,7 @@ def isotypic_decomposition(bigrading: Bigrading, action: Sl2PairAction,
                     if mwk_conj.dim != mwk.dim:
                         raise DecompositionError(
                             "conjugate grading eigenspaces have unequal dimensions")
-                    base = to_ambient(mwk.basis_columns())
+                    base = (lowest.basis @ mwk.basis).columns()
                     if S is not None:
                         eps = (-1) ** ((k + m + n) % 2)
                         if eps == 1:
@@ -829,9 +769,3 @@ def alpha_basis(factor: IrreducibleFactor, action: Sl2PairAction,
             vk = n1m.apply(vk)
     return out
 
-
-def alpha_matrix(alphas: dict[tuple[int, int], tuple[Scalar, ...]],
-                 m: int, n: int) -> ExactMatrix:
-    """Columns alpha_{k,l} ordered (k, l) lexicographically."""
-    cols = [alphas[(k, l)] for k in range(m + 1) for l in range(n + 1)]
-    return ExactMatrix.from_columns(cols, ambient_dim=len(cols[0]))

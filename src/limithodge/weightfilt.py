@@ -23,7 +23,6 @@ from .exactla import (
     kernel,
     image,
     rank,
-    restrict_to_subspace,
     subspace_sum,
 )
 
@@ -207,11 +206,6 @@ def cone_independence_report(Ns: Sequence[ExactMatrix], samples: int = 10,
     }
 
 
-def induced_nilpotent_on_graded(N: ExactMatrix, W: WeightFiltration, k: int) -> ExactMatrix:
-    """Matrix on Gr_k of a commuting endomorphism that preserves each step."""
-    return induced_map_on_graded(N, W.filtration, k, shift=0)
-
-
 def relative_weight_check(N1: ExactMatrix, N2: ExactMatrix,
                           W: WeightFiltration | None = None) -> dict:
     """Check that the cone filtration induces, on each Gr_k of W(N1), the
@@ -227,7 +221,7 @@ def relative_weight_check(N1: ExactMatrix, N2: ExactMatrix,
     agree = True
     for k in W1.filtration.graded_range():
         induced = induced_filtration_on_graded(W.filtration, W1.filtration, k)
-        n2_gr = induced_nilpotent_on_graded(N2, W1, k)
+        n2_gr = induced_map_on_graded(N2, W1.filtration, k)
         expected = monodromy_weight_filtration(n2_gr, center=k)
         los = min(induced.indices() + expected.filtration.indices()) - 1
         his = max(induced.indices() + expected.filtration.indices()) + 1

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import limithodge
 from limithodge.cli import main
 
 
@@ -393,6 +398,23 @@ def test_non_finite_dbar_exponent_exits_2(tmp_path, capsys, key, value):
     assert code == 2
     assert error["kind"] == "invalid-input"
     assert f"{key} must be finite" in error["message"]
+
+
+@pytest.mark.parametrize("flag, value", [("--k", "nan"), ("--l", "inf")])
+def test_non_finite_dbar_region_exponent_exits_2(capsys, flag, value):
+    code, error = _run_error(["dbar-region", "--p", "0", "--q", "1", flag, value], capsys)
+    assert code == 2
+    assert error["kind"] == "invalid-input"
+    assert f"{flag[2:]} must be finite" in error["message"]
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    probe = "import sys, limithodge.cli; print('scipy.interpolate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(limithodge.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_corpus_directory_resolution(tmp_path, capsys, monkeypatch):

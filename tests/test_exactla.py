@@ -13,7 +13,9 @@ from limithodge.exactla import (
     Filtration,
     Scalar,
     Subspace,
+    apply_to_subspace,
     bilinear,
+    block_diag,
     determinant,
     exp_nilpotent,
     image,
@@ -22,11 +24,14 @@ from limithodge.exactla import (
     intersect,
     inverse,
     kernel,
+    kron,
+    matrix_between,
     preimage,
     rank,
     scalar,
     solve,
     subspace_sum,
+    vstack,
 )
 from limithodge.exactla import _row_reduce
 
@@ -421,12 +426,12 @@ _differential = settings(max_examples=100, deadline=None,
 @_differential
 @given(_matrices())
 def test_row_reduce_matches_reference(M):
-    red, pivots = _row_reduce([list(r) for r in M.entries])
+    red, pivots = _row_reduce(M.re, M.im)
     ref_red, ref_pivots = _ref_rref(_pairs(M.entries))
     assert pivots == ref_pivots
-    assert _pairs(red) == ref_red
+    assert _pairs(red.entries) == ref_red
     assert all(type(a) is Scalar and type(a.re) is Fraction and type(a.im) is Fraction
-               for row in red for a in row)
+               for row in red.entries for a in row)
 
 
 @_differential
@@ -455,6 +460,32 @@ def test_products_match_reference(data):
         p = _pmul(_p(x), row[0])
         uAv = (uAv[0] + p[0], uAv[1] + p[1])
     assert _p(bilinear(A, u, v)) == uAv
+    b_pairs = _pairs(B.entries)
+    assert (A.transpose().rows, A.transpose().cols) == (A.cols, A.rows)
+    assert _pairs(A.transpose().entries) == [[a_pairs[i][j] for i in range(A.rows)]
+                                             for j in range(A.cols)]
+    assert _pairs(A.conjugate().entries) == [[(x[0], -x[1]) for x in r] for r in a_pairs]
+    assert _pairs((-A).entries) == [[(-x[0], -x[1]) for x in r] for r in a_pairs]
+    assert _pairs(A.hstack(C).entries) == [r + s for r, s in zip(a_pairs, c_pairs)]
+    stacked = vstack([A, C])
+    assert (stacked.rows, stacked.cols) == (2 * A.rows, inner)
+    assert _pairs(stacked.entries) == a_pairs + c_pairs
+    product = kron(A, B)
+    assert (product.rows, product.cols) == (A.rows * B.rows, A.cols * B.cols)
+    assert _pairs(product.entries) == [[_pmul(x, y) for x in ar for y in br]
+                                       for ar in a_pairs for br in b_pairs]
+    diag = block_diag([A, B])
+    assert (diag.rows, diag.cols) == (A.rows + B.rows, A.cols + B.cols)
+    assert _pairs(diag.entries) == ([r + [_PZERO] * B.cols for r in a_pairs]
+                                    + [[_PZERO] * A.cols + r for r in b_pairs])
+    tr = _PZERO
+    for i in range(min(A.rows, A.cols)):
+        tr = (tr[0] + a_pairs[i][i][0], tr[1] + a_pairs[i][i][1])
+    assert _p(A.trace()) == tr
+    assert A.is_zero() == (not any(_nonzero(x) for r in a_pairs for x in r))
+    assert (A == C) == (a_pairs == c_pairs)
+    for same in (ExactMatrix(A.entries, cols=A.cols), (A + C) - C, -(-A)):
+        assert same == A and hash(same) == hash(A)
 
 
 @_differential
@@ -474,6 +505,25 @@ def test_reduce_mod_matches_reference(data):
     assert V.contains_vector(v) == (not any(map(_nonzero, w)))
     for col in V.basis_columns():
         assert V.contains_vector(col)
+
+
+@_differential
+@given(st.data())
+def test_contains_and_matrix_between_agree_with_vectorwise_checks(data):
+    n = data.draw(st.integers(1, 5))
+    V = Subspace.from_columns(n, data.draw(_matrices(cols=n)).entries)
+    W = Subspace.from_columns(n, data.draw(_matrices(cols=n)).entries)
+    M = data.draw(_matrices(rows=n, cols=n))
+    assert V.contains(W) == all(V.contains_vector(c) for c in W.basis_columns())
+    images = [M.apply(c) for c in V.basis_columns()]
+    for U in (W, apply_to_subspace(M, V)):
+        if all(U.contains_vector(w) for w in images):
+            X = matrix_between(M, V, U)
+            assert (X.rows, X.cols) == (U.dim, V.dim)
+            assert X.columns() == [U.coordinates(w) for w in images]
+        else:
+            with pytest.raises(ValueError):
+                matrix_between(M, V, U)
 
 
 @_differential

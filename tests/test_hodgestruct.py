@@ -124,6 +124,14 @@ def test_limit_structure_is_polarized_mixed():
     assert polarized["all_pass"] is True
 
 
+@pytest.mark.xfail(strict=True, reason="known defect: the top primitive level of "
+                   "_primitive_polarized is never checked, so it reads 'trivial'")
+@pytest.mark.parametrize("m", [1, 2])
+def test_negated_polarization_fails_the_primitive_check(m):
+    mixed, n, s = _limit_mixed(m)
+    assert polarized_mhs_check(mixed, n, -s, m)["all_pass"] is False
+
+
 def test_pure_structure_passes_degenerately():
     model = build_model("S", 0)
     w = Filtration(1, Filtration.INCREASING, [(0, Subspace.full(1))])
