@@ -584,7 +584,8 @@ def _cmd_l2_classify(args: argparse.Namespace) -> dict:
 def _cmd_stalk_cohomology(args: argparse.Namespace) -> dict:
     datum = _load_datum(args.datum)
     mode = HODGE_BUNDLE if args.mode == "hodge-bundle" else LOCAL_SYSTEM
-    complex_ = build_stalk_complex(datum.as_monodromy(), mode)
+    monodromy = datum.as_monodromy()
+    complex_ = build_stalk_complex(monodromy, mode)
     h = hypercohomology(complex_)
     results: dict = {
         "mode": args.mode,
@@ -593,7 +594,7 @@ def _cmd_stalk_cohomology(args: argparse.Namespace) -> dict:
         "euler": complex_.euler_characteristic(),
     }
     if args.truncation_degree is not None:
-        truncated = truncated_global_model(datum.as_monodromy(), args.truncation_degree)
+        truncated = truncated_global_model(monodromy, args.truncation_degree)
         results["truncation_degree"] = args.truncation_degree
         results["truncated_h"] = list(truncated)
         results["agrees"] = list(truncated) == list(h)

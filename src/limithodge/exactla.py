@@ -463,11 +463,6 @@ class ExactMatrix:
             if ambient_dim is None:
                 raise ValueError("ambient_dim required for an empty column list")
             return ExactMatrix.zeros(ambient_dim, 0)
-        if not cols[0]:
-            # zero-length columns give 0x0, not 0 x len(columns): the top
-            # primitive level of hodgestruct._primitive_polarized reads
-            # "trivial" through this, and its reports depend on it
-            return ExactMatrix([])
         return ExactMatrix(cols).transpose()
 
     @staticmethod
@@ -489,6 +484,10 @@ class ExactMatrix:
 
     def _rows_at(self, indices: Sequence[int]) -> "ExactMatrix":
         return self._map(self.cols, lambda rows: [rows[i] for i in indices])
+
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "ExactMatrix":
+        """The entries at the given row and column indices, in that order."""
+        return self._map(len(cols), lambda m: [[m[i][j] for j in cols] for i in rows])
 
     # -- algebra -----------------------------------------------------
     def _plus(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
@@ -690,10 +689,7 @@ class Subspace:
         return not any(re) and (im is None or not any(im))
 
     def contains(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        # the residual of _residual, for all of other's basis at once
-        return self.basis @ other.basis._rows_at(self._pivots) == other.basis
+        return _pivot_coordinates(self, other.basis) is not None
 
     def coordinates(self, v: Sequence[ScalarLike]) -> tuple[Scalar, ...]:
         """Coordinates of v in the canonical basis (v must lie in the subspace)."""
@@ -717,6 +713,19 @@ class Subspace:
 
 # ----------------------------------------------------------------------
 # subspace operations
+
+
+def _pivot_coordinates(U: Subspace, X: ExactMatrix) -> ExactMatrix | None:
+    """Coordinates of the columns of X in U's canonical basis, or None if one is not in U.
+
+    The columns' entries at U's pivots are their coordinates when they
+    lie in U (the residual of :meth:`Subspace._residual`, for all
+    columns at once), so one product and one comparison decide it.
+    """
+    if X.rows != U.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    C = X._rows_at(U.pivots())
+    return C if U.basis @ C == X else None
 
 
 def _row_space(M: ExactMatrix) -> Subspace:
@@ -791,12 +800,15 @@ def matrix_between(M: ExactMatrix, V: Subspace, U: Subspace) -> ExactMatrix:
 
     Raises ValueError if M does not map V into U.
     """
-    MV = M @ V.basis
-    # canonical coordinates are the entries at the pivots
-    X = MV._rows_at(U.pivots())
-    if U.basis @ X != MV:
+    X = _pivot_coordinates(U, M @ V.basis)
+    if X is None:
         raise ValueError("vector not in subspace")
     return X
+
+
+def maps_into(M: ExactMatrix, V: Subspace, U: Subspace) -> bool:
+    """Whether M maps the subspace V into the subspace U."""
+    return _pivot_coordinates(U, M @ V.basis) is not None
 
 
 def restrict_to_subspace(M: ExactMatrix, V: Subspace) -> ExactMatrix:
@@ -896,6 +908,16 @@ def exp_nilpotent(N: ExactMatrix, coeff: ScalarLike = 1) -> ExactMatrix:
 # filtrations
 
 
+def _pivot_complement(big: Subspace, small: Subspace) -> list[int]:
+    """Positions of big's canonical basis columns whose pivots are not pivots of small.
+
+    For small inside big these columns span a complement of small: nested
+    canonical bases have nested pivot sets.
+    """
+    small_pivots = set(small.pivots())
+    return [j for j, p in enumerate(big.pivots()) if p not in small_pivots]
+
+
 class Filtration:
     """An integer-indexed chain of nested subspaces.
 
@@ -973,29 +995,23 @@ class Filtration:
         lo, hi = indices[0], indices[-1]
         return [l for l in range(lo, hi + 1) if self.graded_dim(l) != 0]
 
-    def graded_basis(self, l: int) -> list[tuple[Scalar, ...]]:
-        """Deterministic quotient basis of Gr_l: the pivot-complement columns.
+    def graded_basis(self, l: int) -> ExactMatrix:
+        """Deterministic quotient basis of Gr_l: the pivot-complement columns of step(l)."""
+        big = self.step(l)
+        return big.basis.submatrix(range(big.ambient_dim),
+                                   _pivot_complement(big, self._sub_step(l)))
 
-        Canonical basis columns of step(l) whose pivots are not pivots
-        of the next-smaller step; their classes form a basis of the
-        graded piece (nested canonical bases have nested pivot sets).
+    def _graded_coordinates(self, l: int, X: ExactMatrix) -> ExactMatrix:
+        """Coordinates in the graded_basis(l) quotient basis of the classes of
+        the columns of X, which must lie in step(l).
+
+        Subtracting the canonical projection onto the next-smaller step
+        leaves a residual that is zero at that step's pivots, so its
+        entries at the other pivots of step(l) are the coordinates.
         """
-        big = self.step(l)
-        small = self._sub_step(l)
-        small_pivots = set(small.pivots())
-        return [big.basis.column(j) for j, p in enumerate(big.pivots())
-                if p not in small_pivots]
-
-    def graded_coordinates(self, l: int, v: Sequence[ScalarLike]) -> tuple[Scalar, ...]:
-        """Coordinates of the class of v in the graded_basis(l) quotient basis."""
-        big = self.step(l)
-        if not big.contains_vector(v):
-            raise ValueError("vector not in the filtration step")
-        small = self._sub_step(l)
-        resid = small.reduce_mod(v)
-        small_pivots = set(small.pivots())
-        comp_pivots = [p for p in big.pivots() if p not in small_pivots]
-        return tuple(resid[p] for p in comp_pivots)
+        big, small = self.step(l), self._sub_step(l)
+        rows = [big.pivots()[j] for j in _pivot_complement(big, small)]
+        return X._rows_at(rows) - small.basis._rows_at(rows) @ X._rows_at(small.pivots())
 
     def shift(self, offset: int) -> "Filtration":
         """Reindex: result.step(l) == self.step(l - offset)."""
@@ -1024,21 +1040,19 @@ def induced_map_on_graded(M: ExactMatrix, W: Filtration, l: int, shift: int = 0)
     Quotient bases are the deterministic pivot-complement bases of the
     filtration.  Raises ValueError if M fails to map step(l) into
     step(l+shift) (or the sub-steps correspondingly), i.e. if the
-    induced map is not defined.
+    induced map is not defined.  The matrix is 0x0 when Gr_{l+shift}
+    is zero, whatever the dimension of Gr_l.
     """
     src, tgt = l, l + shift
-    step_l = W.step(src)
-    for v in step_l.basis_columns():
-        if not W.step(tgt).contains_vector(M.apply(v)):
-            raise ValueError(f"matrix does not map step {src} into step {tgt}")
-    sub = W._sub_step(src)
-    tgt_sub_index = tgt - 1 if W.direction == Filtration.INCREASING else tgt + 1
-    for v in sub.basis_columns():
-        if not W.step(tgt_sub_index).contains_vector(M.apply(v)):
-            raise ValueError("matrix does not respect the sub-steps")
-    src_basis = W.graded_basis(src)
-    cols = [W.graded_coordinates(tgt, M.apply(v)) for v in src_basis]
-    return ExactMatrix.from_columns(cols, ambient_dim=W.graded_dim(tgt))
+    if not maps_into(M, W.step(src), W.step(tgt)):
+        raise ValueError(f"matrix does not map step {src} into step {tgt}")
+    if not maps_into(M, W._sub_step(src), W._sub_step(tgt)):
+        raise ValueError("matrix does not respect the sub-steps")
+    if W.graded_dim(tgt) == 0:
+        # the top primitive level of hodgestruct._primitive_polarized
+        # reads "trivial" through the 0x0 shape, and its reports depend on it
+        return ExactMatrix.zeros(0, 0)
+    return W._graded_coordinates(tgt, M @ W.graded_basis(src))
 
 
 def induced_filtration_on_graded(V: Filtration, W: Filtration, l: int) -> Filtration:
@@ -1057,7 +1071,7 @@ def induced_filtration_on_graded(V: Filtration, W: Filtration, l: int) -> Filtra
     prev: Subspace | None = None
     for p in order:
         meet = intersect(V.step(p), step)
-        sub = Subspace.from_columns(g, [W.graded_coordinates(l, v) for v in meet.basis_columns()])
+        sub = image(W._graded_coordinates(l, meet.basis))
         if prev is None or sub != prev:
             steps.append((p, sub))
             prev = sub
@@ -1092,9 +1106,7 @@ def bigraded_pieces(W1: Filtration, W2: Filtration) -> tuple[BigradedPiece, ...]
             below = subspace_sum(corner(a - 1, b), corner(a, b - 1))
             if big.dim == below.dim:
                 continue
-            sub_pivots = set(below.pivots())
-            reps = tuple(big.basis.column(j) for j, p in enumerate(big.pivots())
-                         if p not in sub_pivots)
+            reps = tuple(big.basis.column(j) for j in _pivot_complement(big, below))
             pieces.append((a, b, reps))
     return tuple(pieces)
 

@@ -9,6 +9,7 @@ decided exactly at that level.  No numeric norm is ever evaluated.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -18,8 +19,6 @@ from .exactla import (
     Scalar,
     Subspace,
     bigraded_pieces,
-    bilinear,
-    conj_vector,
     rank,
     solve,
 )
@@ -99,11 +98,12 @@ def minimal_weight(v: Sequence[Scalar], W: WeightFiltration) -> int:
     if all(not x for x in v):
         raise ValueError("the zero vector has no minimal weight")
     levels = W.filtration.graded_range()
-    lo, hi = levels[0], levels[-1]
-    for l in range(lo, hi + 1):
-        if W.step(l).contains_vector(v):
-            return l
-    raise ValueError("vector escapes the weight filtration")
+    indices = range(levels[0], levels[-1] + 1)
+    # the steps are nested, so membership is monotone in l
+    i = bisect_left(indices, True, key=lambda l: W.step(l).contains_vector(v))
+    if i == len(indices):
+        raise ValueError("vector escapes the weight filtration")
+    return indices[i]
 
 
 def section_from_datum(v: Sequence[Scalar], N1: ExactMatrix, N2: ExactMatrix,
@@ -203,11 +203,8 @@ def l2_adapted_check(frame: Sequence[MonodromizedSection],
     for s in frame:
         by_class.setdefault(s.weights, []).append(s)
     for group in by_class.values():
-        n = len(group)
-        gram = ExactMatrix.from_function(
-            n, n, lambda a, b: bilinear(
-                metric, group[a].flat_vector, conj_vector(group[b].flat_vector)))
-        if rank(gram) != n:
+        V = ExactMatrix.from_columns([s.flat_vector for s in group])
+        if rank(V.transpose() @ metric @ V.conjugate()) != len(group):
             return False
     return True
 

@@ -12,6 +12,7 @@ coordinates that way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .exactla import (
     ExactMatrix,
@@ -20,14 +21,16 @@ from .exactla import (
     ONE,
     Scalar,
     Subspace,
-    bilinear,
-    conj_vector,
     determinant,
+    image,
     induced_filtration_on_graded,
     induced_map_on_graded,
     intersect,
     kernel,
+    maps_into,
+    matrix_between,
     subspace_sum,
+    vstack,
 )
 from .sl2rep import operator_from_bigrading
 from .weightfilt import NotNilpotent, monodromy_weight_filtration
@@ -44,8 +47,7 @@ class NotPolarized(ValueError):
 
 
 def _conj_space(V: Subspace) -> Subspace:
-    return Subspace.from_columns(V.ambient_dim,
-                                 [conj_vector(c) for c in V.basis_columns()])
+    return image(V.basis.conjugate())
 
 
 @dataclass(frozen=True)
@@ -180,13 +182,8 @@ def weil_and_metric(hs: HodgeStructure,
     items = sorted(hs.bigrading.items())
     for (p, q), piece in items:
         for (r, s), other in items:
-            if (r, s) == (q, p):
-                continue
-            for u in piece.basis_columns():
-                for v in other.basis_columns():
-                    if bilinear(S.S, u, v):
-                        raise NotPolarized(
-                            f"pieces ({p},{q}) and ({r},{s}) are not orthogonal")
+            if (r, s) != (q, p) and not (piece.basis.transpose() @ S.S @ other.basis).is_zero():
+                raise NotPolarized(f"pieces ({p},{q}) and ({r},{s}) are not orthogonal")
 
     def i_power(e: int) -> Scalar:
         return (ONE, I, -ONE, -I)[e % 4]
@@ -205,20 +202,11 @@ def _check_positive_definite(Hm: ExactMatrix) -> None:
     Writes Hm = A + iB and tests the real symmetric block matrix
     [[A, B], [-B, A]] with Sylvester's leading-minor criterion.
     """
-    n = Hm.rows
-    A = ExactMatrix.from_function(n, n, lambda i, j: Scalar(Hm[i, j].re))
-    B = ExactMatrix.from_function(n, n, lambda i, j: Scalar(Hm[i, j].im))
-
-    def entry(i: int, j: int) -> Scalar:
-        bi, bj = i // n, j // n
-        ii, jj = i % n, j % n
-        if bi == bj:
-            return A[ii, jj]
-        return B[ii, jj] if bi == 0 else -B[ii, jj]
-
-    M = ExactMatrix.from_function(2 * n, 2 * n, entry)
-    for m in range(1, 2 * n + 1):
-        minor = determinant(ExactMatrix.from_function(m, m, lambda i, j: M[i, j]))
+    A = (Hm + Hm.conjugate()).scale(Fraction(1, 2))
+    B = (Hm.conjugate() - Hm).scale(I * Fraction(1, 2))
+    M = vstack([A.hstack(B), (-B).hstack(A)])
+    for m in range(1, M.rows + 1):
+        minor = determinant(M.submatrix(range(m), range(m)))
         if minor.im or minor.re <= 0:
             raise NotPolarized(f"leading minor {m} is not positive")
 
@@ -277,22 +265,10 @@ def polarized_mhs_check(m: MixedHodge, N: ExactMatrix, S: ExactMatrix,
         report["weight_filtration"] = False
     idx = m.F.indices()
     lo, hi = min(idx), max(idx)
-    pairing_ok = True
-    for p in range(min(lo, k - hi), max(hi, k - lo) + 2):
-        Fp = m.F.step(p)
-        Fq = m.F.step(k - p + 1)
-        for u in Fp.basis_columns():
-            for v in Fq.basis_columns():
-                if bilinear(S, u, v):
-                    pairing_ok = False
-    report["pairing"] = pairing_ok
-    lowers = True
-    for p in idx:
-        img = [N.apply(v) for v in m.F.step(p).basis_columns()]
-        target = m.F.step(p - 1)
-        if any(not target.contains_vector(w) for w in img):
-            lowers = False
-    report["lowers_filtration"] = lowers
+    report["pairing"] = all(
+        (m.F.step(p).basis.transpose() @ S @ m.F.step(k - p + 1).basis).is_zero()
+        for p in range(min(lo, k - hi), max(hi, k - lo) + 2))
+    report["lowers_filtration"] = all(maps_into(N, m.F.step(p), m.F.step(p - 1)) for p in idx)
 
     primitive_ok = True
     details = []
@@ -317,32 +293,26 @@ def polarized_mhs_check(m: MixedHodge, N: ExactMatrix, S: ExactMatrix,
 def _primitive_polarized(m: MixedHodge, N: ExactMatrix, S: ExactMatrix,
                          k: int, l: int) -> tuple[bool, str]:
     """Check the primitive part of Gr_{k+l} against S(. , N^l .)."""
-    g = m.W.graded_dim(k + l)
     Ngr = induced_map_on_graded(N.power(l + 1), m.W, k + l, shift=-2 * (l + 1))
     P = kernel(Ngr)
     if P.dim == 0:
         return True, "trivial"
-    lifts = m.W.graded_basis(k + l)
-    Nl = N.power(l)
-    Sgr = ExactMatrix.from_function(
-        g, g, lambda i, j: bilinear(S, lifts[i], Nl.apply(lifts[j])))
+    L = m.W.graded_basis(k + l)
+    Sgr = L.transpose() @ S @ N.power(l) @ L
     Fgr = induced_filtration_on_graded(m.F, m.W, k + l)
     # coordinates inside P (its canonical basis is real since the data is)
-    basis = P.basis_columns()
-    if any(conj_vector(c) != c for c in basis):
+    if not P.basis.is_real():
         return False, "primitive space is not defined over the reals"
-    Pb = ExactMatrix.from_columns(basis, ambient_dim=g)
+    inclusion = ExactMatrix.identity(L.cols)
     steps: list[tuple[int, Subspace]] = []
     prev: Subspace | None = None
     for p in Fgr.indices():
-        meet = intersect(Fgr.step(p), P)
-        cols = [P.coordinates(v) for v in meet.basis_columns()]
-        sub = Subspace.from_columns(P.dim, cols)
+        sub = image(matrix_between(inclusion, intersect(Fgr.step(p), P), P))
         if prev is None or sub != prev:
             steps.append((p, sub))
             prev = sub
     FP = Filtration(P.dim, Filtration.DECREASING, steps)
-    SP = Pb.transpose() @ Sgr @ Pb
+    SP = P.basis.transpose() @ Sgr @ P.basis
     try:
         hs = filtration_to_bigrading(FP, k + l)
     except NotAHodgeFiltration as exc:
@@ -440,7 +410,6 @@ def bigrading_morphism_check(m: MixedHodge, X: ExactMatrix,
         for (pp, qq), other in pieces.items():
             if pp <= p + r and qq <= q + s:
                 target = subspace_sum(target, other)
-        for v in sub.basis_columns():
-            if not target.contains_vector(X.apply(v)):
-                return False
+        if not maps_into(X, sub, target):
+            return False
     return True

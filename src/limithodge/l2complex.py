@@ -34,11 +34,11 @@ from .exactla import (
     Filtration,
     Scalar,
     Subspace,
-    apply_to_subspace,
     bigraded_pieces,
     block_diag,
     exp_nilpotent,
     kron,
+    maps_into,
     matrix_between,
     rank,
     vstack,
@@ -281,13 +281,13 @@ def _check_well_defined(
     s2: Subspace,
 ) -> None:
     failures = []
-    if s0.dim and not s1a.contains(apply_to_subspace(m1, s0)):
+    if not maps_into(m1, s0, s1a):
         failures.append("first differential leaves the dt1 component")
-    if s0.dim and not s1b.contains(apply_to_subspace(m2, s0)):
+    if not maps_into(m2, s0, s1b):
         failures.append("first differential leaves the dt2 component")
-    if s1a.dim and not s2.contains(apply_to_subspace(m2, s1a)):
+    if not maps_into(m2, s1a, s2):
         failures.append("second differential leaves the top component (dt1 leg)")
-    if s1b.dim and not s2.contains(apply_to_subspace(m1, s1b)):
+    if not maps_into(m1, s1b, s2):
         failures.append("second differential leaves the top component (dt2 leg)")
     if failures:
         raise IllFormedComplex("; ".join(failures))

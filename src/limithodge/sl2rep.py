@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .exactla import (
@@ -39,6 +41,8 @@ from .exactla import (
     inverse,
     kernel,
     kron,
+    maps_into,
+    matrix_between,
     restrict_to_subspace,
     solve,
     subspace_sum,
@@ -155,11 +159,8 @@ class Model:
         ps = sorted({p for p, _ in self.bigrading})
         steps = []
         for p in ps:
-            gens: list[Sequence[Scalar]] = []
-            for (pp, qq), sub in self.bigrading.items():
-                if pp >= p:
-                    gens.extend(sub.basis_columns())
-            steps.append((p, Subspace.from_columns(self.dim, gens)))
+            gens = [sub.basis for (pp, _), sub in self.bigrading.items() if pp >= p]
+            steps.append((p, image(reduce(ExactMatrix.hstack, gens))))
         steps.append((ps[-1] + 1, Subspace.zero(self.dim)))
         return Filtration(self.dim, Filtration.DECREASING, steps)
 
@@ -356,17 +357,13 @@ def operator_from_bigrading(bigrading: Bigrading,
     if not bigrading:
         raise ValueError("empty bigrading")
     ambient = next(iter(bigrading.values())).ambient_dim
-    cols: list[Sequence[Scalar]] = []
-    eigs: list = []
-    for (p, q), sub in sorted(bigrading.items()):
-        if sub.ambient_dim != ambient:
-            raise ValueError("mixed ambient dimensions in bigrading")
-        for c in sub.basis_columns():
-            cols.append(c)
-            eigs.append(eigenvalue(p, q))
-    if len(cols) != ambient:
+    items = sorted(bigrading.items())
+    if any(sub.ambient_dim != ambient for _, sub in items):
+        raise ValueError("mixed ambient dimensions in bigrading")
+    B = reduce(ExactMatrix.hstack, [sub.basis for _, sub in items])
+    if B.cols != ambient:
         raise ValueError("bigrading pieces do not sum to the ambient dimension")
-    B = ExactMatrix.from_columns(cols, ambient_dim=ambient)
+    eigs = [eigenvalue(p, q) for (p, q), sub in items for _ in range(sub.dim)]
     try:
         Binv = inverse(B)
     except ValueError:
@@ -393,8 +390,7 @@ def complete_sl2_triple(N: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
         raise ValueError("square matrices of equal size required")
     if not (Y.commutator(N) + N.scale(2)).is_zero():
         raise NoSolution("[Y, N] != -2N")
-    if not N.power(d).is_zero():
-        raise NoSolution("N is not nilpotent")
+    # so N is nilpotent: every N^k = -[Y, N^k]/(2k) is traceless
     # unknowns x_{ij} indexed i*d + j, so X -> AXB is kron(A, B^T)
     one = ExactMatrix.identity(d)
     weight = kron(Y, one) - kron(one, Y.transpose()) - ExactMatrix.identity(d * d).scale(2)
@@ -457,7 +453,6 @@ class IrreducibleFactor:
 
 
 def _check_horizontality(bigrading: Bigrading, action: Sl2PairAction) -> None:
-    keys = set(bigrading)
     ambient = action.dim
 
     def piece(p: int, q: int) -> Subspace:
@@ -468,15 +463,14 @@ def _check_horizontality(bigrading: Bigrading, action: Sl2PairAction) -> None:
         xminus = action.horizontal_lowering(j)
         z = action.torus_generator(j)
         for (p, q), sub in bigrading.items():
-            for v in sub.basis_columns():
-                if not piece(p - 1, q + 1).contains_vector(xplus.apply(v)):
-                    raise NotHorizontal(
-                        f"X+_{j+1} does not shift type ({p},{q}) to ({p-1},{q+1})")
-                if not piece(p + 1, q - 1).contains_vector(xminus.apply(v)):
-                    raise NotHorizontal(
-                        f"X-_{j+1} does not shift type ({p},{q}) to ({p+1},{q-1})")
-                if not sub.contains_vector(z.apply(v)):
-                    raise NotHorizontal(f"Z_{j+1} does not preserve type ({p},{q})")
+            if not maps_into(xplus, sub, piece(p - 1, q + 1)):
+                raise NotHorizontal(
+                    f"X+_{j+1} does not shift type ({p},{q}) to ({p-1},{q+1})")
+            if not maps_into(xminus, sub, piece(p + 1, q - 1)):
+                raise NotHorizontal(
+                    f"X-_{j+1} does not shift type ({p},{q}) to ({p+1},{q-1})")
+            if not maps_into(z, sub, sub):
+                raise NotHorizontal(f"Z_{j+1} does not preserve type ({p},{q})")
 
 
 def _check_isometric(S: ExactMatrix, action: Sl2PairAction) -> None:
@@ -701,36 +695,24 @@ def _verify_decomposition(bigrading: Bigrading, action: Sl2PairAction,
         sub = f.subspace()
         if sub.dim != f.dim:
             raise DecompositionError("embedding columns are dependent")
+        # the embedding columns in sub's canonical basis: a change of basis
+        E = matrix_between(f.embedding, Subspace.full(f.dim), sub)
+        E_inv = inverse(E)
         # the restricted action must reproduce the model matrices verbatim
         pairs = zip(action.generators(), model.action.generators())
         for big, small in pairs:
-            got = _matrix_in_embedding(big, f.embedding, sub)
+            try:
+                got = E_inv @ restrict_to_subspace(big, sub) @ E
+            except ValueError:
+                raise DecompositionError("factor is not invariant under the action") from None
             if got != small:
                 raise DecompositionError(
                     f"restricted action differs from the {f.params()} model")
     if S is not None:
-        subs = [f.embedding for f in factors]
-        for a in range(len(factors)):
-            for b in range(a + 1, len(factors)):
-                for u in subs[a].columns():
-                    for v in subs[b].columns():
-                        if bilinear(S, u, v):
-                            raise DecompositionError(
-                                "factors are not pairwise orthogonal under S")
-
-
-def _matrix_in_embedding(M: ExactMatrix, embedding: ExactMatrix,
-                         sub: Subspace) -> ExactMatrix:
-    """Matrix of M on the span of the embedding, in embedding coordinates."""
-    # solve embedding @ X = M @ embedding column by column
-    cols = []
-    for j in range(embedding.cols):
-        target = M.apply(embedding.column(j))
-        x = solve(embedding, target)
-        if x is None:
-            raise DecompositionError("factor is not invariant under the action")
-        cols.append(x)
-    return ExactMatrix.from_columns(cols, ambient_dim=embedding.cols)
+        SE = [S @ f.embedding for f in factors]
+        for a, b in combinations(range(len(factors)), 2):
+            if not (factors[a].embedding.transpose() @ SE[b]).is_zero():
+                raise DecompositionError("factors are not pairwise orthogonal under S")
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .exactla import (
     intersect,
     kernel,
     image,
+    maps_into,
     rank,
     subspace_sum,
 )
@@ -140,11 +141,8 @@ def _verify_weight_axioms(N: ExactMatrix, filt: Filtration, center: int,
     lo = min(filt.indices()) - 1
     hi = max(filt.indices()) + 1
     for l in range(lo, hi + 1):
-        step = filt.step(l)
-        target = filt.step(l - 2)
-        for v in step.basis_columns():
-            if not target.contains_vector(N.apply(v)):
-                raise AxiomFailure(f"N does not map W_{l} into W_{l-2}")
+        if not maps_into(N, filt.step(l), filt.step(l - 2)):
+            raise AxiomFailure(f"N does not map W_{l} into W_{l-2}")
     for l in range(1, hi - center + 1):
         src, tgt = center + l, center - l
         g_src, g_tgt = filt.graded_dim(src), filt.graded_dim(tgt)

@@ -25,6 +25,7 @@ from limithodge.exactla import (
     inverse,
     kernel,
     kron,
+    maps_into,
     matrix_between,
     preimage,
     rank,
@@ -248,6 +249,15 @@ def test_induced_map_identity_is_identity_on_graded():
     for l in (-1, 1):
         block = induced_map_on_graded(ExactMatrix.identity(2), w, l)
         assert block == ExactMatrix.identity(1)
+
+
+def test_induced_map_onto_a_zero_graded_piece_is_0x0():
+    # Gr_1 is a line but Gr_{-3} is zero; the 0x0 shape (not 0x1) is what
+    # hodgestruct._primitive_polarized reads as a "trivial" primitive level
+    w = Filtration.from_generators(2, Filtration.INCREASING,
+                                   [(-1, [[1, 0]]), (1, [[1, 0], [0, 1]])])
+    block = induced_map_on_graded(_jordan(2).power(2), w, 1, shift=-4)
+    assert (block.rows, block.cols) == (0, 0)
 
 
 def test_induced_map_zero_on_single_step():
@@ -517,6 +527,7 @@ def test_contains_and_matrix_between_agree_with_vectorwise_checks(data):
     assert V.contains(W) == all(V.contains_vector(c) for c in W.basis_columns())
     images = [M.apply(c) for c in V.basis_columns()]
     for U in (W, apply_to_subspace(M, V)):
+        assert maps_into(M, V, U) == all(U.contains_vector(w) for w in images)
         if all(U.contains_vector(w) for w in images):
             X = matrix_between(M, V, U)
             assert (X.rows, X.cols) == (U.dim, V.dim)

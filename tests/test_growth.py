@@ -19,6 +19,7 @@ from limithodge.growth import (
     transpose_keys,
 )
 from limithodge.hodgestruct import PolarizationForm, filtration_to_bigrading, weil_and_metric
+from limithodge.l2complex import standard_corpus
 from limithodge.sl2rep import alpha_basis, build_model, isotypic_decomposition
 from limithodge.weightfilt import monodromy_weight_filtration
 
@@ -43,6 +44,24 @@ def test_minimal_weight_on_jordan_block():
     assert minimal_weight([scalar(0), scalar(1)], w) == 1
     with pytest.raises(ValueError):
         minimal_weight([scalar(0), scalar(0)], w)
+
+
+def _scanned_minimal_weight(v, W) -> int:
+    """Reference: the first graded level whose step contains v."""
+    levels = W.filtration.graded_range()
+    for l in range(levels[0], levels[-1] + 1):
+        if W.step(l).contains_vector(v):
+            return l
+    raise ValueError("vector escapes the weight filtration")
+
+
+def test_minimal_weight_matches_a_linear_scan_on_the_corpus():
+    for datum in standard_corpus():
+        for N in (datum.n1, datum.n1 + datum.n2):
+            W = monodromy_weight_filtration(N)
+            for _, step in W.filtration.steps:
+                for v in step.basis_columns():
+                    assert minimal_weight(v, W) == _scanned_minimal_weight(v, W)
 
 
 def test_section_weights_use_both_orderings():

@@ -16,6 +16,7 @@ from limithodge.hodgestruct import (
     r_split_check,
     weil_and_metric,
 )
+from limithodge.hodgestruct import _check_positive_definite
 from limithodge.sl2rep import build_model
 from limithodge.weightfilt import monodromy_weight_filtration
 
@@ -96,8 +97,15 @@ def test_weil_and_metric_on_trivial_line():
 def test_flipped_polarization_detected():
     model = build_model("S", 1)
     hs = filtration_to_bigrading(model.hodge_filtration(), 1)
-    with pytest.raises(NotPolarized):
+    with pytest.raises(NotPolarized, match="leading minor 1 is not positive"):
         weil_and_metric(hs, PolarizationForm.for_weight(model.polarization.scale(-1), 1))
+
+
+def test_positive_definite_check_on_complex_hermitian_matrices():
+    _check_positive_definite(ExactMatrix([[2, I], [-I, 2]]))  # eigenvalues 1 and 3
+    # eigenvalues 3 and -1: the realified 4x4 form first goes negative at minor 3
+    with pytest.raises(NotPolarized, match="leading minor 3 is not positive"):
+        _check_positive_definite(ExactMatrix([[1, 2 * I], [-2 * I, 1]]))
 
 
 def test_polarization_form_symmetry_enforced():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -24,6 +25,7 @@ from limithodge.l2complex import (
     truncated_global_model,
     two_chart_cover,
 )
+from limithodge.l2complex import _check_well_defined
 from limithodge.sl2rep import build_model
 from limithodge.weightfilt import NonCommuting, monodromy_weight_filtration
 
@@ -151,6 +153,19 @@ def test_differentials_stay_inside_the_complex():
             assert c.k2.contains_vector(c.n2.apply(v))
         for v in c.k1_dt2.basis_columns():
             assert c.k2.contains_vector(c.n1.apply(v))
+
+
+def test_ill_formed_complex_names_every_leg_that_leaves():
+    one, zero = ExactMatrix.identity(2), ExactMatrix.zeros(2, 2)
+    full, none = Subspace.full(2), Subspace.zero(2)
+    with pytest.raises(IllFormedComplex, match=re.escape(
+            "first differential leaves the dt1 component; "
+            "second differential leaves the top component (dt2 leg)")):
+        _check_well_defined(one, zero, full, none, full, none)
+    with pytest.raises(IllFormedComplex, match=re.escape(
+            "first differential leaves the dt2 component; "
+            "second differential leaves the top component (dt1 leg)")):
+        _check_well_defined(zero, one, full, full, none, none)
 
 
 def test_nonzero_composite_differential_is_rejected():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+import re
 
 import pytest
 
@@ -19,7 +21,7 @@ from limithodge.sl2rep import (
     transport_model,
     ytilde_from_bigrading,
 )
-from limithodge.sl2rep import _orthogonalize
+from limithodge.sl2rep import _orthogonalize, _verify_decomposition
 from limithodge.weightfilt import monodromy_weight_filtration
 
 
@@ -143,6 +145,13 @@ def test_complete_sl2_triple_rejects_bad_bracket():
         complete_sl2_triple(n, ExactMatrix.identity(2))
 
 
+def test_complete_sl2_triple_rejects_a_non_nilpotent_n_by_the_bracket():
+    # [Y, I] = 0 for every Y, so N = I fails [Y, N] = -2N before anything else
+    for Y in (ExactMatrix.zeros(2, 2), ExactMatrix([[1, 0], [0, -1]])):
+        with pytest.raises(NoSolution, match=re.escape("[Y, N] != -2N")):
+            complete_sl2_triple(ExactMatrix.identity(2), Y)
+
+
 # ----------------------------------------------------------------------
 # isotypic decomposition
 
@@ -232,13 +241,22 @@ def test_orthogonalize_rejects_a_zero_form():
         _orthogonalize([_E1, _E2], lambda u, v: bilinear(S, u, v))
 
 
+def test_verification_rejects_non_orthogonal_factors():
+    model = direct_sum_models([build_model("S", 0, 0), build_model("S", 0, 0)])
+    first, second = isotypic_decomposition(model.bigrading, model.action, model.polarization)
+    skewed = dataclasses.replace(second, embedding=first.embedding + second.embedding)
+    with pytest.raises(DecompositionError, match="factors are not pairwise orthogonal under S"):
+        _verify_decomposition(model.bigrading, model.action, model.polarization,
+                              [first, skewed], model.weight)
+
+
 def test_decomposition_rejects_nonhorizontal_bigrading():
     model = build_model("S", 1)
     fake = {
         (1, 0): Subspace.from_columns(2, [[1, 0]]),
         (0, 1): Subspace.from_columns(2, [[0, 1]]),
     }
-    with pytest.raises(NotHorizontal):
+    with pytest.raises(NotHorizontal, match=re.escape("X+_1 does not shift type (1,0) to (0,1)")):
         isotypic_decomposition(fake, model.action)
 
 

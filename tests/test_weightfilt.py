@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from limithodge.exactla import ExactMatrix, Subspace, apply_to_subspace, inverse, rank
+from limithodge.exactla import ExactMatrix, Filtration, Subspace, apply_to_subspace, inverse, rank
 from limithodge.sl2rep import build_model
 from limithodge.exactla import induced_map_on_graded
 from limithodge.weightfilt import (
+    AxiomFailure,
     NonCommuting,
     NonPositiveCoefficient,
     NotNilpotent,
@@ -18,6 +19,7 @@ from limithodge.weightfilt import (
     monodromy_weight_filtration,
     relative_weight_check,
 )
+from limithodge.weightfilt import _verify_weight_axioms
 
 
 def _jordan(dim: int) -> ExactMatrix:
@@ -110,6 +112,15 @@ def test_uniqueness_via_reconstruction():
         w2 = monodromy_weight_filtration(n)
         assert w1 == w2
         assert w1.filtration.steps == w2.filtration.steps
+
+
+def test_shift_axiom_violation_is_reported():
+    # N(W_1) = span(e1) lies in W_0 but not in W_{-1} = 0
+    n = _jordan(2)
+    filt = Filtration.from_generators(2, Filtration.INCREASING,
+                                      [(0, [[1, 0]]), (1, [[1, 0], [0, 1]])])
+    with pytest.raises(AxiomFailure, match="N does not map W_1 into W_-1"):
+        _verify_weight_axioms(n, filt, 0, [ExactMatrix.identity(2), n, n @ n])
 
 
 # ----------------------------------------------------------------------
