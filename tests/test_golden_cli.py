@@ -1,9 +1,11 @@
-"""Golden CLI digests: every datum subcommand on every built-in label.
+"""Golden CLI digests: every datum subcommand on every built-in label, and
+the dbar subcommands on fixed exponents and the configs in ``dbar_configs/``.
 
-``tests/golden_cli.json`` maps each argv (joined by spaces) to its exit
-code and the sha256 of its stdout.  The test replays the cases
-in-process; a mismatch means a report changed.  Running this module as a
-script rewrites the file from the current code.
+``tests/golden_cli.json`` maps each argv (joined by spaces, config paths
+relative to ``tests/``) to its exit code and the sha256 of its stdout.  The
+test replays the cases in-process; a mismatch means a report or an exit
+code changed.  Running this module as a script rewrites the file from the
+current code.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from pathlib import Path
 from limithodge.cli import main
 from limithodge.l2complex import standard_corpus
 
-GOLDEN = Path(__file__).with_name("golden_cli.json")
+HERE = Path(__file__).parent
+GOLDEN = HERE / "golden_cli.json"
+CONFIGS = HERE / "dbar_configs"
 
 SHAPES = (
     ["weight-filtration"],
@@ -37,14 +41,26 @@ SHAPES = (
 # about 30 s, so it is left out
 SLOW = {"end-check End(s11)"}
 
+REGION_EXPONENTS = (("-2", "-1"), ("0.5", "2"), ("1", "-0.5"))
 
-def cases() -> list[list[str]]:
-    out = []
+
+def cases() -> dict[str, list[str]]:
+    """Each golden key with the argv it stands for."""
+    out = {}
     for datum in standard_corpus():
         for cmd, *flags in SHAPES:
             argv = [cmd, datum.label, *flags]
             if " ".join(argv) not in SLOW:
-                out.append(argv)
+                out[" ".join(argv)] = argv
+    for p in range(3):
+        for q in range(3):
+            for k, l in REGION_EXPONENTS:
+                argv = ["dbar-region", "--p", str(p), "--q", str(q), "--k", k, "--l", l]
+                out[" ".join(argv)] = argv
+    argv = ["dbar-region", "--p", "0", "--q", "1", "--k", "nan"]
+    out[" ".join(argv)] = argv
+    for config in sorted(CONFIGS.glob("*.json")):
+        out[f"dbar-solve {CONFIGS.name}/{config.name}"] = ["dbar-solve", str(config)]
     return out
 
 
@@ -59,14 +75,15 @@ def replay(argv: list[str]) -> tuple[dict, str]:
 
 def test_cli_stdout_matches_the_golden_digests():
     golden = json.loads(GOLDEN.read_text())
-    assert sorted(golden) == sorted(" ".join(argv) for argv in cases())
+    assert sorted(golden) == sorted(cases())
     mismatches = []
-    for argv in cases():
+    for key, argv in cases().items():
         got, out = replay(argv)
-        if got != golden[" ".join(argv)]:
-            mismatches.append(f"{' '.join(argv)}: exit {got['exit']}, stdout:\n{out}")
+        if got != golden[key]:
+            mismatches.append(f"{key}: exit {got['exit']}, stdout:\n{out}")
     assert not mismatches, "\n".join(mismatches)
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({" ".join(a): replay(a)[0] for a in cases()}, indent=1) + "\n")
+    GOLDEN.write_text(json.dumps({key: replay(argv)[0] for key, argv in cases().items()},
+                                 indent=1) + "\n")
