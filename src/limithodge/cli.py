@@ -35,7 +35,6 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from types import ModuleType
 from typing import Any, Callable, Sequence
 
 from .exactla import ExactMatrix, Filtration
@@ -103,19 +102,18 @@ class CliError(Exception):
         self.kind = kind
 
 
-def _with_dbar(command: Callable[[argparse.Namespace, ModuleType], dict],
-               ) -> Callable[[argparse.Namespace], dict]:
-    """A subcommand run with the dbar module, which is imported only then
-    (it loads numpy and scipy), and with dbar's errors mapped to exit codes."""
+def _dbar_errors(command: Callable[[argparse.Namespace], dict],
+                 ) -> Callable[[argparse.Namespace], dict]:
+    """A subcommand with the dbar layer's errors mapped to exit codes."""
 
     def run(args: argparse.Namespace) -> dict:
-        from . import dbar
+        from .dbarspec import DivergentNorm, ExcludedExponent, IncompatibleInput
 
         try:
-            return command(args, dbar)
-        except dbar.ExcludedExponent as exc:
+            return command(args)
+        except ExcludedExponent as exc:
             raise CliError(EXIT_EXCLUDED_EXPONENT, "excluded-exponent", str(exc)) from exc
-        except (dbar.IncompatibleInput, dbar.DivergentNorm) as exc:
+        except (IncompatibleInput, DivergentNorm) as exc:
             raise CliError(EXIT_PRECONDITION, "precondition-violated", str(exc)) from exc
 
     return run
@@ -601,8 +599,9 @@ def _cmd_stalk_cohomology(args: argparse.Namespace) -> dict:
     return _report("stalk-cohomology", datum.digest, results)
 
 
-@_with_dbar
-def _cmd_oracle_compare(args: argparse.Namespace, dbarmod: ModuleType) -> dict:
+def _cmd_oracle_compare(args: argparse.Namespace) -> dict:
+    from .dbar import integrability_oracle
+
     if args.l_min > args.l_max:
         raise CliError(EXIT_INVALID_INPUT, "invalid-input", "empty weight range")
     components = (frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2}))
@@ -618,8 +617,8 @@ def _cmd_oracle_compare(args: argparse.Namespace, dbarmod: ModuleType) -> dict:
     for J, n1, n2, l1, l2 in cells:
         verdict = classify_l2(J, n1, n2, l1, l2)
         symbolic = [verdict.is_l2_d_eps, verdict.is_l2_d_eps_prime, verdict.is_l2]
-        oracle = list(dbarmod.integrability_oracle(J, n1, n2, l1, l2,
-                                                   epsilon=args.epsilon).as_tuple())
+        oracle = list(integrability_oracle(J, n1, n2, l1, l2,
+                                           epsilon=args.epsilon).as_tuple())
         if symbolic != oracle:
             disagreements.append({
                 "component": sorted(J),
@@ -661,37 +660,43 @@ def _cmd_end_check(args: argparse.Namespace) -> dict:
     return _report("end-check", datum.digest, results)
 
 
-@_with_dbar
-def _cmd_dbar_solve(args: argparse.Namespace, dbarmod: ModuleType) -> dict:
+@_dbar_errors
+def _cmd_dbar_solve(args: argparse.Namespace) -> dict:
+    from .dbarspec import hormander_region, parse_case, path_corner
+
     payload, digest, builtin = _read_payload(args.config)
     if builtin is not None or payload is None:
         raise CliError(EXIT_INVALID_INPUT, "invalid-input",
                        "dbar-solve takes an experiment JSON file")
     try:
-        bundle, phi = dbarmod.case_from_json(payload)
-    except dbarmod.ExcludedExponent:
-        raise
+        spec = parse_case(payload)
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(EXIT_INVALID_INPUT, "invalid-input", f"{args.config}: {exc}") from exc
-    if phi.degree not in (1, 2):
+    if spec.degree not in (1, 2):
         raise CliError(EXIT_INVALID_INPUT, "invalid-input",
-                       f"no solver for degree {phi.degree} data")
+                       f"no solver for degree {spec.degree} data")
+    bundle = spec.bundle
+    bundle.require_admissible()
+    # only a config that will be solved pays for numpy and scipy
+    from . import dbar
+
+    phi = dbar.sample_case(spec)
     warns: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if phi.degree == 1:
-            u = dbarmod.solve_dbar_01(phi, bundle, tolerance=args.tolerance)
+            u = dbar.solve_dbar_01(phi, bundle, tolerance=args.tolerance)
         else:
-            u = dbarmod.solve_dbar_02(phi, bundle)
-        residual = dbarmod.dbar_residual(u, phi)
-        norm_phi = dbarmod.weighted_norm(phi, bundle)
-        norm_u = dbarmod.weighted_norm(u, bundle)
-        ratio = dbarmod.verify_bound(phi, u, bundle)
+            u = dbar.solve_dbar_02(phi, bundle)
+        residual = dbar.dbar_residual(u, phi)
+        norm_phi = dbar.weighted_norm(phi, bundle)
+        norm_u = dbar.weighted_norm(u, bundle)
+        ratio = dbar.verify_bound(phi, u, bundle)
     warns.extend(str(w.message) for w in caught)
     corners = []
     for slot, modes in enumerate(u.components):
         for (m, n) in sorted(modes):
-            c1, c2 = dbarmod.path_corner(m, n, bundle.k, bundle.l, phi.grid.a)
+            c1, c2 = path_corner(m, n, bundle.k, bundle.l, phi.grid.a)
             corners.append({"component": slot + 1, "mode": [m, n], "corner": [c1, c2]})
     results = {
         "k": bundle.k,
@@ -705,16 +710,17 @@ def _cmd_dbar_solve(args: argparse.Namespace, dbarmod: ModuleType) -> dict:
         "residual_ok": residual < args.tolerance,
         "norms": {"phi": norm_phi, "u": norm_u},
         "c": None if math.isnan(ratio) else ratio,
-        "hormander_covered": dbarmod.hormander_region(0, phi.degree, bundle.k, bundle.l),
+        "hormander_covered": hormander_region(0, phi.degree, bundle.k, bundle.l),
         "corners": corners,
     }
     return _report("dbar-solve", digest, results, warns)
 
 
-@_with_dbar
-def _cmd_dbar_region(args: argparse.Namespace, dbarmod: ModuleType) -> dict:
-    k, l = dbarmod._finite(vars(args), "k"), dbarmod._finite(vars(args), "l")
-    covered = dbarmod.hormander_region(args.p, args.q, k, l)
+def _cmd_dbar_region(args: argparse.Namespace) -> dict:
+    from .dbarspec import _finite, hormander_region
+
+    k, l = _finite(vars(args), "k"), _finite(vars(args), "l")
+    covered = hormander_region(args.p, args.q, k, l)
     digest = _param_digest(p=args.p, q=args.q, k=k, l=l)
     return _report("dbar-region", digest,
                    {"p": args.p, "q": args.q, "k": k, "l": l, "covered": covered})

@@ -29,87 +29,23 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+# The numpy-free half of the layer; re-exported so that ``dbar`` stays the
+# one import for library callers.
+from .dbarspec import (
+    CaseSpec,
+    DivergentNorm,
+    ExcludedExponent,
+    IncompatibleInput,
+    RadialGrid,
+    WeightedLineBundle,
+    _corner_1d,
+    hormander_region,
+    parse_case,
+    path_corner,
+)
 from .exactla import ExactMatrix, solve as _exact_solve
 
 _TINY = 1e-30
-
-
-class ExcludedExponent(ValueError):
-    """A metric exponent sits at the excluded value 1."""
-
-
-class IncompatibleInput(ValueError):
-    """Degree-(0,1) data that fail the mode-wise compatibility identity."""
-
-
-class DivergentNorm(ValueError):
-    """A weighted norm that keeps growing under quadrature refinement."""
-
-
-@dataclass(frozen=True)
-class WeightedLineBundle:
-    """Metric exponents (k, l); the section norm grows like (-log r1)^k (-log r2)^l.
-
-    Any real pair may be stored — the region predicate below is meaningful
-    for all exponents — but the solvers refuse k = 1 and l = 1, where no
-    corner path yields a bounded inverse.
-    """
-
-    k: float
-    l: float
-
-    def admissible(self) -> bool:
-        return self.k != 1.0 and self.l != 1.0
-
-    def require_admissible(self) -> None:
-        if not self.admissible():
-            raise ExcludedExponent(
-                f"metric exponents k={self.k}, l={self.l}: values equal to 1 are excluded"
-            )
-
-
-@lru_cache(maxsize=16)
-def _grid_arrays(n: int, a: float, span: float) -> tuple[np.ndarray, np.ndarray]:
-    x = np.linspace(math.log(a) - span, math.log(a), n)
-    r = np.exp(x)
-    r.flags.writeable = False
-    x.flags.writeable = False
-    return r, x
-
-
-@dataclass(frozen=True)
-class RadialGrid:
-    """Geometric radial sample points r_0 < ... < r_{n-1} = a on (0, a].
-
-    Uniform in log r over ``span`` log-units, so with the default
-    a = 1/e the weight variable -log r runs from 1 + span down to 1 and
-    the log-power measures stay bounded on the grid.
-    """
-
-    n: int = 256
-    a: float = math.exp(-1.0)
-    span: float = 8.0
-
-    def __post_init__(self) -> None:
-        if self.n < 16:
-            raise ValueError("radial grid needs at least 16 points")
-        if not 0.0 < self.a < 1.0:
-            raise ValueError("grid radius a must lie in (0, 1)")
-        if self.span <= 0.0:
-            raise ValueError("grid span must be positive")
-
-    @property
-    def r(self) -> np.ndarray:
-        return _grid_arrays(self.n, self.a, self.span)[0]
-
-    @property
-    def log_r(self) -> np.ndarray:
-        return _grid_arrays(self.n, self.a, self.span)[1]
-
-    @property
-    def h(self) -> float:
-        """Step in the log variable."""
-        return self.span / (self.n - 1)
 
 
 ModeKey = tuple[int, int]
@@ -257,25 +193,6 @@ def _transport(values: np.ndarray, grid: RadialGrid, axis: int, mode_index: int)
     """The mode-wise dbar operator (1/2)(d/dr_i - mode_index/r_i) along an axis."""
     r = grid.r[:, None] if axis == 0 else grid.r[None, :]
     return 0.5 * (_radial_derivative(values, grid, axis) - mode_index * values / r)
-
-
-def _corner_1d(mode_index: int, exponent: float, a: float) -> float:
-    """Path start in one coordinate: 0 for negative modes, a for positive,
-    with the metric exponent breaking the tie at mode 0 (above 1 from zero,
-    below 1 from a)."""
-    if mode_index < 0:
-        return 0.0
-    if mode_index > 0:
-        return a
-    if exponent == 1.0:
-        raise ExcludedExponent(f"mode 0 with exponent {exponent}: no path start exists")
-    return 0.0 if exponent > 1.0 else a
-
-
-def path_corner(m: int, n: int, k: float, l: float, a: float = math.exp(-1.0)) -> tuple[float, float]:
-    """Integration corner for the u_{m,n} path: coordinate-wise sign rule on
-    (m, k) and (n, l).  Total on integer modes whenever k, l differ from 1."""
-    return _corner_1d(m, k, a), _corner_1d(n, l, a)
 
 
 def _antiderivative(r: np.ndarray, integrand: np.ndarray, start: float) -> np.ndarray:
@@ -579,21 +496,6 @@ def verify_bound(phi: FourierForm, u: FourierForm, bundle: WeightedLineBundle,
     return third
 
 
-def hormander_region(p: int, q: int, k: float, l: float) -> bool:
-    """Whether the classical twisted existence theorem covers (p, q)-forms
-    for metric exponents (k, l).
-
-    With the exponents sorted as gamma_1 <= gamma_2 the condition is
-    gamma_1 + ... + gamma_q - gamma_{p+1} - ... - gamma_2 > 0; for (0,1)
-    this is -max(k, l) > 0, for (0,2) it is empty, and for (2,2) it is
-    k + l > 0.
-    """
-    if not (0 <= p <= 2 and 0 <= q <= 2):
-        raise ValueError("form type indices must lie in 0..2")
-    gamma = sorted((float(k), float(l)))
-    return sum(gamma[:q]) - sum(gamma[p:]) > 0.0
-
-
 # ---------------------------------------------------------------------------
 # refinement-ratio integrability oracle
 
@@ -745,57 +647,16 @@ def bound_corpus(grid: RadialGrid | None = None) -> list[DbarCase]:
     return cases
 
 
-def _finite(data: Mapping, key: str) -> float:
-    value = float(data[key])
-    if not math.isfinite(value):
-        raise ValueError(f"{key} must be finite, got {data[key]!r}")
-    return value
+def sample_case(spec: CaseSpec) -> FourierForm:
+    """Sample a parsed config's modes on its grid.
 
-
-def case_from_json(data: Mapping, grid: RadialGrid | None = None) -> tuple[WeightedLineBundle, FourierForm]:
-    """Build a bundle and form from the JSON task layout.
-
-    Expected keys: k, l, optional A (grid radius), optional degree
-    (default 1), optional points, and a list of modes, each with m, n, a
-    profile tag ("bump" or "poly"), its params, and for degree-1 data a
-    component tag 1 or 2.  Bump params: center and width in log-radius
-    units plus amplitude; poly params: powers and amplitude.
+    Repeated (m, n, component) entries accumulate.
     """
-    k = _finite(data, "k")
-    l = _finite(data, "l")
-    degree = int(data.get("degree", 1))
-    if grid is None:
-        kwargs = {}
-        if "A" in data:
-            kwargs["a"] = _finite(data, "A")
-        if "points" in data:
-            kwargs["n"] = int(data["points"])
-        grid = RadialGrid(**kwargs)
-    count = 2 if degree == 1 else 1
-    components: tuple[ModeMap, ...] = tuple({} for _ in range(count))
-    for entry in data.get("modes", ()):
-        m = int(entry["m"])
-        n = int(entry["n"])
-        params = entry.get("params", {})
-        tag = entry.get("profile", "bump")
-        if tag == "bump":
-            fn = gaussian_profile(
-                tuple(params.get("center", (math.log(grid.a) - 4.0,) * 2)),
-                tuple(params.get("width", (0.6, 0.6))),
-                float(params.get("amplitude", 1.0)),
-            )
-        elif tag == "poly":
-            fn = monomial_profile(
-                tuple(params.get("powers", (0.0, 0.0))),
-                float(params.get("amplitude", 1.0)),
-            )
-        else:
-            raise ValueError(f"unknown profile tag {tag!r}")
-        slot = int(entry.get("component", 1)) - 1
-        if not 0 <= slot < count:
-            raise ValueError(f"component {slot + 1} not valid for degree {degree}")
-        profile = sample_mode(grid, fn)
-        if (m, n) in components[slot]:
-            profile = components[slot][(m, n)] + profile
-        components[slot][(m, n)] = profile
-    return WeightedLineBundle(k, l), FourierForm(degree, grid, components)
+    components: tuple[ModeMap, ...] = tuple({} for _ in range(2 if spec.degree == 1 else 1))
+    for mode in spec.modes:
+        make = gaussian_profile if mode.profile == "bump" else monomial_profile
+        profile = sample_mode(spec.grid, make(*mode.params))
+        comp = components[mode.slot]
+        key = (mode.m, mode.n)
+        comp[key] = comp[key] + profile if key in comp else profile
+    return FourierForm(spec.degree, spec.grid, components)

@@ -180,8 +180,9 @@ def weil_and_metric(hs: HodgeStructure,
     if S.S.rows != hs.ambient_dim:
         raise NotPolarized("form size does not match the ambient space")
     items = sorted(hs.bigrading.items())
-    for (p, q), piece in items:
-        for (r, s), other in items:
+    # S is symmetric or skew, so one product per unordered pair decides both orders
+    for i, ((p, q), piece) in enumerate(items):
+        for (r, s), other in items[i:]:
             if (r, s) != (q, p) and not (piece.basis.transpose() @ S.S @ other.basis).is_zero():
                 raise NotPolarized(f"pieces ({p},{q}) and ({r},{s}) are not orthogonal")
 

@@ -11,6 +11,7 @@ import pytest
 import limithodge
 from limithodge.cli import main
 
+CONFIGS = Path(__file__).with_name("dbar_configs")
 
 def _run(argv, capsys):
     code = main(argv)
@@ -408,13 +409,62 @@ def test_non_finite_dbar_region_exponent_exits_2(capsys, flag, value):
     assert f"{flag[2:]} must be finite" in error["message"]
 
 
+def test_dbar_solve_non_object_params_exits_2(tmp_path, capsys):
+    config = _write_json(
+        tmp_path / "params-list.json",
+        {"k": 0.5, "l": 0.5, "modes": [
+            {"m": 0, "n": 0, "component": 2, "profile": "poly", "params": [1]}]},
+    )
+    code, error = _run_error(["dbar-solve", config], capsys)
+    assert code == 2
+    assert error["kind"] == "invalid-input"
+    assert "must be an object" in error["message"]
+
+
+def _subprocess_env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(limithodge.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+
+
+def _cli_in_subprocess(argv):
+    """Exit code of the CLI in a fresh interpreter, and whether numpy got loaded."""
+    probe = ("import sys\nfrom limithodge.cli import main\ncode = main(sys.argv[1:])\n"
+             "print(code, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe, *argv], env=_subprocess_env(),
+                         capture_output=True, text=True, check=True).stdout
+    code, loaded = out.splitlines()[-1].split()
+    return int(code), loaded == "True"
+
+
 def test_cli_import_leaves_scipy_interpolate_unloaded():
     probe = "import sys, limithodge.cli; print('scipy.interpolate' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(limithodge.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
+    out = subprocess.run([sys.executable, "-c", probe], env=_subprocess_env(),
+                         capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    (["dbar-region", "--p", "0", "--q", "1", "--k", "0.5", "--l", "2"], 0, False),
+    (["dbar-region", "--p", "0", "--q", "1", "--k", "nan"], 2, False),
+    (["dbar-solve", str(CONFIGS / "exit2-k-nan.json")], 2, False),
+    (["dbar-solve", str(CONFIGS / "exit2-degree-0.json")], 2, False),
+    (["dbar-solve", str(CONFIGS / "exit2-excluded-malformed-powers.json")], 2, False),
+    (["dbar-solve", str(CONFIGS / "exit4-excluded.json")], 4, False),
+    (["dbar-solve", str(CONFIGS / "solve-corner.json")], 0, True),
+], ids=["region", "region-nan", "k-nan", "degree-0", "excluded-malformed", "excluded", "solve"])
+def test_dbar_commands_load_numpy_only_to_solve(argv, code, loaded):
+    assert _cli_in_subprocess(argv) == (code, loaded)
+
+
+def test_oversized_dbar_grid_exits_2_before_numpy_loads(tmp_path, capsys):
+    config = _write_json(
+        tmp_path / "huge.json",
+        {"k": 0.5, "l": 0.5, "points": 100000000, "modes": [
+            {"m": 0, "n": 0, "component": 2, "profile": "poly", "params": {}}]},
+    )
+    assert _cli_in_subprocess(["dbar-solve", config]) == (2, False)
+    code, error = _run_error(["dbar-solve", config], capsys)
+    assert "points must be at most 2048" in error["message"]
 
 
 def test_corpus_directory_resolution(tmp_path, capsys, monkeypatch):

@@ -14,14 +14,15 @@ from limithodge.dbar import (
     RadialGrid,
     WeightedLineBundle,
     bound_corpus,
-    case_from_json,
     check_integrability,
     dbar_residual,
     gaussian_profile,
     hormander_region,
     integrability_oracle,
     monomial_profile,
+    parse_case,
     path_corner,
+    sample_case,
     sample_mode,
     solve_dbar_01,
     solve_dbar_02,
@@ -280,8 +281,13 @@ def test_bound_corpus_case_solves():
     assert np.max(np.abs(got - case.reference)) / scale < 1e-5
 
 
+def _sampled(data):
+    spec = parse_case(data)
+    return spec.bundle, sample_case(spec)
+
+
 def test_case_from_json_constant():
-    bundle, phi = case_from_json(
+    bundle, phi = _sampled(
         {
             "k": 0.5,
             "l": -1.0,
@@ -297,7 +303,7 @@ def test_case_from_json_constant():
 
 
 def test_case_from_json_monomial_pair_closed_form():
-    bundle, phi = case_from_json(
+    bundle, phi = _sampled(
         {
             "k": -1.0,
             "l": 0.5,
@@ -334,7 +340,7 @@ def test_case_from_json_grid_and_mode_accumulation():
              "params": {"powers": [0, 0], "amplitude": 2.0}},
         ],
     }
-    bundle, phi = case_from_json(base)
+    bundle, phi = _sampled(base)
     assert phi.grid.n == 64
     assert phi.grid.a == pytest.approx(0.25)
     prof = phi.components[1][(0, 0)]
@@ -342,22 +348,41 @@ def test_case_from_json_grid_and_mode_accumulation():
 
 
 def test_case_from_json_degree_two_and_errors():
-    _, phi = case_from_json(
+    _, phi = _sampled(
         {"k": 0.0, "l": 0.0, "degree": 2,
          "modes": [{"m": 1, "n": 1, "profile": "bump", "params": {}}]}
     )
     assert phi.degree == 2
     assert len(phi.components) == 1
     with pytest.raises(ValueError):
-        case_from_json(
+        _sampled(
             {"k": 0.0, "l": 0.0,
              "modes": [{"m": 0, "n": 0, "component": 3, "profile": "poly"}]}
         )
     with pytest.raises(ValueError):
-        case_from_json(
+        _sampled(
             {"k": 0.0, "l": 0.0,
              "modes": [{"m": 0, "n": 0, "component": 1, "profile": "spline"}]}
         )
+
+
+@pytest.mark.parametrize("profile, params, message", [
+    ("poly", [1], "must be an object"),
+    ("poly", {"powers": ["a", 2]}, "powers entries must be numbers"),
+    ("poly", {"powers": [1]}, "not enough values to unpack"),
+    ("bump", {"center": [None, 0.0]}, "center entries must be numbers"),
+    ("bump", {"width": [0.5, "0.5"]}, "width entries must be numbers"),
+])
+def test_parse_case_rejects_malformed_params(profile, params, message):
+    with pytest.raises(ValueError, match=message):
+        parse_case({"k": 0.0, "l": 0.0,
+                    "modes": [{"m": 0, "n": 0, "profile": profile, "params": params}]})
+
+
+def test_parse_case_caps_the_grid_size():
+    assert parse_case({"k": 0.0, "l": 0.0, "points": 2048}).grid.n == 2048
+    with pytest.raises(ValueError, match="points must be at most 2048"):
+        parse_case({"k": 0.0, "l": 0.0, "points": 2049})
 
 
 def test_complex_profiles_supported():

@@ -101,6 +101,20 @@ def test_flipped_polarization_detected():
         weil_and_metric(hs, PolarizationForm.for_weight(model.polarization.scale(-1), 1))
 
 
+def test_non_orthogonal_pieces_are_named():
+    # weight 2 on C^3: H^{2,0} = <e1 + i e2>, H^{1,1} = <e3>, H^{0,2} = <e1 - i e2>;
+    # the (1,3) entry of S pairs e3 with e1, so H^{0,2} meets H^{1,1} first
+    f = Filtration(3, Filtration.DECREASING,
+                   [(0, Subspace.full(3)),
+                    (1, Subspace.from_columns(3, [[1, I, 0], [0, 0, 1]])),
+                    (2, Subspace.from_columns(3, [[1, I, 0]])),
+                    (3, Subspace.zero(3))])
+    hs = filtration_to_bigrading(f, 2)
+    S = ExactMatrix([[1, 0, 1], [0, 1, 0], [1, 0, 1]])
+    with pytest.raises(NotPolarized, match=r"pieces \(0,2\) and \(1,1\) are not orthogonal"):
+        weil_and_metric(hs, PolarizationForm.for_weight(S, 2))
+
+
 def test_positive_definite_check_on_complex_hermitian_matrices():
     _check_positive_definite(ExactMatrix([[2, I], [-I, 2]]))  # eigenvalues 1 and 3
     # eigenvalues 3 and -1: the realified 4x4 form first goes negative at minor 3
