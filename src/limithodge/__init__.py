@@ -9,6 +9,8 @@ sl2rep       commuting sl2-pair representations and isotypic decomposition
 hodgestruct  (mixed) Hodge structures, polarizations, Deligne bigradings
 growth       Hodge-norm growth classes and adapted frames
 l2complex    the finite L2 Dolbeault models and their cohomology
+dbarspec     dbar errors, metric and grid specs, corner rule, Hormander region and
+             config parsing, without numpy
 dbar         weighted dbar solver on the punctured bidisc (numerical)
 cli          batch command-line front door
 """

@@ -11,6 +11,10 @@ Exit codes: 0 success, 2 invalid input, 3 precondition violated (e.g.
 non-commuting logarithms), 4 excluded exponent, 5 internal invariant
 failure.  Errors are emitted as one JSON object on standard error.
 
+Only ``oracle-compare`` and a ``dbar-solve`` config that gets as far as
+solving import ``dbar`` and with it numpy and scipy.  ``dbar-region`` and
+the exit-2 and exit-4 outcomes of ``dbar-solve`` need only ``dbarspec``.
+
 Input files with monodromy data follow one schema::
 
     {"dimension": 2, "weight": 1,

@@ -13,6 +13,7 @@ from limithodge.cli import main
 
 CONFIGS = Path(__file__).with_name("dbar_configs")
 
+
 def _run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -463,7 +464,7 @@ def test_oversized_dbar_grid_exits_2_before_numpy_loads(tmp_path, capsys):
             {"m": 0, "n": 0, "component": 2, "profile": "poly", "params": {}}]},
     )
     assert _cli_in_subprocess(["dbar-solve", config]) == (2, False)
-    code, error = _run_error(["dbar-solve", config], capsys)
+    _, error = _run_error(["dbar-solve", config], capsys)
     assert "points must be at most 2048" in error["message"]
 
 
