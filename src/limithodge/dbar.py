@@ -46,6 +46,9 @@ from .dbarspec import (
 from .exactla import ExactMatrix, solve as _exact_solve
 
 _TINY = 1e-30
+# the relative change of the norm ratio per quadrature refinement that
+# verify_bound accepts as stable
+_STABILITY = 0.1
 
 
 ModeKey = tuple[int, int]
@@ -97,8 +100,8 @@ class FourierForm:
                     worst = max(worst, float(np.max(np.abs(profile))))
         return worst
 
-    def is_zero(self, tolerance: float = 0.0) -> bool:
-        return self.max_abs() <= tolerance
+    def is_zero(self) -> bool:
+        return self.max_abs() == 0.0
 
 
 def sample_mode(grid: RadialGrid, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
@@ -284,11 +287,6 @@ def check_integrability(phi: FourierForm, tolerance: float = 1e-6) -> bool:
     return verdict
 
 
-def _check_endpoint(a: float | None, grid: RadialGrid) -> None:
-    if a is not None and not math.isclose(a, grid.a, rel_tol=1e-12):
-        raise ValueError(f"path endpoint A={a} must match the grid radius {grid.a}")
-
-
 def _edge_leg(profile: np.ndarray, grid: RadialGrid, m: int, n: int,
               c1: float, c2: float) -> np.ndarray:
     """The corner-edge contribution of the second path leg.
@@ -306,7 +304,7 @@ def _edge_leg(profile: np.ndarray, grid: RadialGrid, m: int, n: int,
     return scale * np.outer(r ** float(m), r ** float(n) * values)
 
 
-def solve_dbar_01(phi: FourierForm, bundle: WeightedLineBundle, a: float | None = None,
+def solve_dbar_01(phi: FourierForm, bundle: WeightedLineBundle,
                   *, tolerance: float = 1e-6) -> FourierForm:
     """Solve dbar u = phi for (0,1) data phi, mode by mode along corner paths.
 
@@ -326,7 +324,6 @@ def solve_dbar_01(phi: FourierForm, bundle: WeightedLineBundle, a: float | None 
     if phi.degree != 1:
         raise ValueError("solve_dbar_01 expects degree-(0,1) data")
     grid = phi.grid
-    _check_endpoint(a, grid)
     if not check_integrability(phi, tolerance):
         raise IncompatibleInput("the (0,1) data fail the compatibility identity")
     f1, f2 = phi.components
@@ -349,7 +346,7 @@ def solve_dbar_01(phi: FourierForm, bundle: WeightedLineBundle, a: float | None 
     return FourierForm(0, grid, (out,))
 
 
-def solve_dbar_02(phi: FourierForm, bundle: WeightedLineBundle, a: float | None = None) -> FourierForm:
+def solve_dbar_02(phi: FourierForm, bundle: WeightedLineBundle) -> FourierForm:
     """Solve dbar psi = phi for (0,2) data, returning psi = u1 dtbar1 + u2 dtbar2.
 
     Each input mode f_{m,n} feeds u1_{m,n-1} and u2_{m-1,n}; both radial
@@ -361,7 +358,6 @@ def solve_dbar_02(phi: FourierForm, bundle: WeightedLineBundle, a: float | None 
     if phi.degree != 2:
         raise ValueError("solve_dbar_02 expects degree-(0,2) data")
     grid = phi.grid
-    _check_endpoint(a, grid)
     (f,) = phi.components
     u1: ModeMap = {}
     u2: ModeMap = {}
@@ -464,14 +460,14 @@ def weighted_norm(form: FourierForm, bundle: WeightedLineBundle, *, stride: int 
     return total
 
 
-def verify_bound(phi: FourierForm, u: FourierForm, bundle: WeightedLineBundle,
-                 *, stability: float = 0.1) -> float:
+def verify_bound(phi: FourierForm, u: FourierForm, bundle: WeightedLineBundle) -> float:
     """Measured constant C = ||u||^2_w / ||phi||^2_w with a refinement check.
 
     Both squared norms are evaluated at three nested quadrature levels
     (every fourth point, every second, all).  If the ratio keeps growing by
-    more than the stability margin at both refinements the norm is treated
-    as divergent; a one-off wobble above the margin is only warned about.
+    more than the margin ``_STABILITY`` (10%) at both refinements the norm
+    is treated as divergent; a one-off wobble above the margin is only
+    warned about.
     Zero data admit no ratio and give the 0/0 sentinel nan.
     """
     bundle.require_admissible()
@@ -487,11 +483,11 @@ def verify_bound(phi: FourierForm, u: FourierForm, bundle: WeightedLineBundle,
             return math.nan
         ratios.append(numerator / denominator)
     first, second, third = ratios
-    if third > (1.0 + stability) * second and second > (1.0 + stability) * first:
+    if third > (1.0 + _STABILITY) * second and second > (1.0 + _STABILITY) * first:
         raise DivergentNorm(
             f"norm ratio grows under refinement: {first:.6g} -> {second:.6g} -> {third:.6g}"
         )
-    if abs(third - second) > stability * max(abs(second), _TINY):
+    if abs(third - second) > _STABILITY * max(abs(second), _TINY):
         warnings.warn("bound ratio not yet stable under refinement", RuntimeWarning, stacklevel=2)
     return third
 

@@ -178,6 +178,8 @@ def _number_pair(params: Mapping, key: str, default: tuple) -> tuple:
     for entry in value:
         if not isinstance(entry, (int, float)):
             raise ValueError(f"{key} entries must be numbers, got {entry!r}")
+        if not math.isfinite(entry):
+            raise ValueError(f"{key} entries must be finite, got {entry!r}")
     first, second = value
     return first, second
 
@@ -189,9 +191,9 @@ def parse_case(data: Mapping) -> CaseSpec:
     (default 1), optional points (16 to ``MAX_POINTS``), and a list of
     modes, each with m, n, a profile tag ("bump" or "poly"), its params,
     and for degree-1 data a component tag 1 or 2.  Bump params: center and
-    width in log-radius units plus amplitude; poly params: powers and
-    amplitude.  Raises ValueError, KeyError or TypeError on any malformed
-    entry, so sampling the result cannot fail.
+    nonzero width in log-radius units plus amplitude; poly params: powers
+    and amplitude; every number finite.  Raises ValueError, KeyError or
+    TypeError on any malformed entry, so sampling the result cannot fail.
     """
     k = _finite(data, "k")
     l = _finite(data, "l")
@@ -216,11 +218,13 @@ def parse_case(data: Mapping) -> CaseSpec:
         if tag == "bump":
             shape = (_number_pair(params, "center", (math.log(grid.a) - 4.0,) * 2),
                      _number_pair(params, "width", (0.6, 0.6)))
+            if 0 in shape[1]:
+                raise ValueError(f"width entries must be nonzero, got {list(shape[1])}")
         elif tag == "poly":
             shape = (_number_pair(params, "powers", (0.0, 0.0)),)
         else:
             raise ValueError(f"unknown profile tag {tag!r}")
-        amplitude = float(params.get("amplitude", 1.0))
+        amplitude = _finite(params, "amplitude") if "amplitude" in params else 1.0
         slot = int(entry.get("component", 1)) - 1
         if not 0 <= slot < count:
             raise ValueError(f"component {slot + 1} not valid for degree {degree}")

@@ -25,7 +25,7 @@ region D′_ε the roles of the two directions swap.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .exactla import (
@@ -200,18 +200,16 @@ def _span_passing(
     dim: int,
     generators: list[tuple[tuple[Scalar, ...], int, int]],
     component: frozenset[int],
-    waive1: bool = False,
-    waive2: bool = False,
+    n1: int = 0,
+    n2: int = 0,
 ) -> Subspace:
-    """Span of the generators whose levels pass the directional test."""
-    c1 = -2 if 1 in component else 0
-    c2 = -2 if 2 in component else 0
-    cols = [
-        v
-        for v, l1, l2 in generators
-        if (waive1 or l1 <= c1) and (waive2 or l2 - l1 <= c2)
-    ]
+    """Span of the generators that t₁^{n₁}t₂^{n₂} makes L² on D_ε."""
+    cols = [v for v, l1, l2 in generators if _directional(component, n1, n2, l1, l2)]
     return Subspace.from_columns(dim, cols)
+
+
+# the form components of K⁰, K¹_dt₁, K¹_dt₂ and K², in that order
+_COMPONENTS = (frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2}))
 
 
 def _piece_generators(datum: MonodromyDatum) -> list[tuple[tuple[Scalar, ...], int, int]]:
@@ -253,7 +251,13 @@ def _frame_generators(datum: MonodromyDatum) -> list[tuple[tuple[Scalar, ...], i
 
 @dataclass(frozen=True)
 class StalkComplex:
-    """The three-term local model; d0: v ↦ (N₁v, N₂v), d1: (a,b) ↦ N₂a - N₁b."""
+    """The three-term local model; d0: v ↦ (N₁v, N₂v), d1: (a,b) ↦ N₂a - N₁b.
+
+    The complex certifies itself when it is built: each of the four legs
+    must map its source into its target (``IllFormedComplex`` names every
+    leg that leaves), and d1∘d0 must vanish.  ``d0`` and ``d1`` are then
+    stored in the canonical bases of the spaces.
+    """
 
     k0: Subspace
     k1_dt1: Subspace
@@ -262,6 +266,34 @@ class StalkComplex:
     n1: ExactMatrix
     n2: ExactMatrix
     mode: str = LOCAL_SYSTEM
+    d0: ExactMatrix = field(init=False, repr=False, compare=False)
+    d1: ExactMatrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        legs = (
+            ("first differential leaves the dt1 component", self.n1, self.k0, self.k1_dt1),
+            ("first differential leaves the dt2 component", self.n2, self.k0, self.k1_dt2),
+            ("second differential leaves the top component (dt1 leg)",
+             self.n2, self.k1_dt1, self.k2),
+            ("second differential leaves the top component (dt2 leg)",
+             self.n1, self.k1_dt2, self.k2),
+        )
+        try:
+            a, b, c, d = [matrix_between(m, src, tgt) for _, m, src, tgt in legs]
+        except ValueError:
+            # name every leg that leaves; a shape mismatch re-raises from maps_into
+            failures = [text for text, m, src, tgt in legs if not maps_into(m, src, tgt)]
+            if not failures:
+                raise
+            raise IllFormedComplex("; ".join(failures)) from None
+        d0 = vstack([a, b])
+        d1 = c.hstack(-d)
+        # d1∘d0 vanishes because the (possibly shifted) operators commute;
+        # verify exactly rather than trusting the caller.
+        if not (d1 @ d0).is_zero():
+            raise IllFormedComplex("composite differential is nonzero")
+        object.__setattr__(self, "d0", d0)
+        object.__setattr__(self, "d1", d1)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -272,27 +304,6 @@ class StalkComplex:
         return d0 - d1 + d2
 
 
-def _check_well_defined(
-    m1: ExactMatrix,
-    m2: ExactMatrix,
-    s0: Subspace,
-    s1a: Subspace,
-    s1b: Subspace,
-    s2: Subspace,
-) -> None:
-    failures = []
-    if not maps_into(m1, s0, s1a):
-        failures.append("first differential leaves the dt1 component")
-    if not maps_into(m2, s0, s1b):
-        failures.append("first differential leaves the dt2 component")
-    if not maps_into(m2, s1a, s2):
-        failures.append("second differential leaves the top component (dt1 leg)")
-    if not maps_into(m1, s1b, s2):
-        failures.append("second differential leaves the top component (dt2 leg)")
-    if failures:
-        raise IllFormedComplex("; ".join(failures))
-
-
 def build_stalk_complex(datum: MonodromyDatum, mode: str = LOCAL_SYSTEM) -> StalkComplex:
     """Assemble the L² stalk complex from the flat (t-order (0,0)) generators.
 
@@ -300,7 +311,9 @@ def build_stalk_complex(datum: MonodromyDatum, mode: str = LOCAL_SYSTEM) -> Stal
     passes it for that form component.  ``local_system`` mode grades by
     the weight filtrations themselves; ``hodge_bundle`` mode insists on
     a model frame and uses the bigraded exponents instead.  The two
-    modes produce the same subspaces on data where both apply.
+    modes give the same subspaces on the split models of the standard
+    corpus; on transported models the local-system mode can be ill-formed
+    where the frame mode is not (ROADMAP item 2).
     """
     if mode == LOCAL_SYSTEM:
         generators = _piece_generators(datum)
@@ -308,54 +321,15 @@ def build_stalk_complex(datum: MonodromyDatum, mode: str = LOCAL_SYSTEM) -> Stal
         generators = _frame_generators(datum)
     else:
         raise ValueError(f"unknown stalk mode {mode!r}")
-    dim = datum.dimension
-    k0 = _span_passing(dim, generators, frozenset())
-    k1_dt1 = _span_passing(dim, generators, frozenset({1}))
-    k1_dt2 = _span_passing(dim, generators, frozenset({2}))
-    k2 = _span_passing(dim, generators, frozenset({1, 2}))
-    _check_well_defined(datum.n1, datum.n2, k0, k1_dt1, k1_dt2, k2)
-    return StalkComplex(k0, k1_dt1, k1_dt2, k2, datum.n1, datum.n2, mode)
-
-
-def _differentials(
-    m1: ExactMatrix,
-    m2: ExactMatrix,
-    s0: Subspace,
-    s1a: Subspace,
-    s1b: Subspace,
-    s2: Subspace,
-) -> tuple[ExactMatrix, ExactMatrix]:
-    """d0 = (m1, m2) and d1 = (m2, -m1) of s0 -> s1a⊕s1b -> s2 in the canonical bases.
-
-    The maps must be well defined on the subspaces (see
-    ``_check_well_defined``).
-    """
-    d0 = vstack([matrix_between(m1, s0, s1a), matrix_between(m2, s0, s1b)])
-    d1 = matrix_between(m2, s1a, s2).hstack(-matrix_between(m1, s1b, s2))
-    # d1∘d0 vanishes because the (possibly shifted) operators commute;
-    # verify exactly rather than trusting the caller.
-    if not (d1 @ d0).is_zero():
-        raise IllFormedComplex("composite differential is nonzero")
-    return d0, d1
-
-
-def _three_term_betti(
-    m1: ExactMatrix,
-    m2: ExactMatrix,
-    s0: Subspace,
-    s1a: Subspace,
-    s1b: Subspace,
-    s2: Subspace,
-) -> tuple[int, int, int]:
-    """Exact Betti numbers of s0 -> s1a⊕s1b -> s2 with maps (m1, m2), (m2, -m1)."""
-    d0, d1 = _differentials(m1, m2, s0, s1a, s1b, s2)
-    r0, r1 = rank(d0), rank(d1)
-    return (s0.dim - r0, s1a.dim + s1b.dim - r0 - r1, s2.dim - r1)
+    spaces = [_span_passing(datum.dimension, generators, J) for J in _COMPONENTS]
+    return StalkComplex(*spaces, datum.n1, datum.n2, mode)
 
 
 def hypercohomology(c: StalkComplex) -> tuple[int, int, int]:
-    """Exact cohomology of the stalk complex (checked well defined when built)."""
-    return _three_term_betti(c.n1, c.n2, c.k0, c.k1_dt1, c.k1_dt2, c.k2)
+    """Exact cohomology of the stalk complex, from the ranks of its d0 and d1."""
+    r0, r1 = rank(c.d0), rank(c.d1)
+    k0, k1, k2 = c.dims
+    return (k0 - r0, k1 - r0 - r1, k2 - r1)
 
 
 # ----------------------------------------------------------------------
@@ -365,41 +339,27 @@ def hypercohomology(c: StalkComplex) -> tuple[int, int, int]:
 def truncated_global_model(datum: MonodromyDatum, degree: int) -> tuple[int, int, int]:
     """Cohomology of the polynomial sections Σ_{0≤i,j≤degree} t₁^i t₂^j · (generators).
 
-    A generator is admitted at cell (i, j) when the classifier passes it
-    with the directional conditions waived by the t-divisibility (n_i ≥ 1
-    suppresses direction i).  Differentiating t₁^i t₂^j shifts the
-    connection action on the cell to (N₁ + i, N₂ + j), which is what makes
-    the higher cells exact and the totals stabilize in the degree.
+    Cell (i, j) is the stalk complex of the generators the classifier
+    passes at t-orders (i, j) (n_i ≥ 1 suppresses direction i).
+    Differentiating t₁^i t₂^j shifts the connection action on the cell to
+    (N₁ + i, N₂ + j), which is what makes the higher cells exact and the
+    totals stabilize in the degree.
     """
     if degree < 0:
         raise ValueError("truncation degree must be nonnegative")
     generators = _piece_generators(datum)
     dim = datum.dimension
-    spaces: dict[tuple[bool, bool, frozenset[int]], Subspace] = {}
-
-    def space(waive1: bool, waive2: bool, component: frozenset[int]) -> Subspace:
-        key = (waive1, waive2, component)
-        if key not in spaces:
-            spaces[key] = _span_passing(dim, generators, component, waive1, waive2)
-        return spaces[key]
-
+    # the spaces depend on the t-orders only through whether each is positive
+    spaces: dict[tuple[int, int], list[Subspace]] = {}
     ident = ExactMatrix.identity(dim)
-    total = [0, 0, 0]
+    total = (0, 0, 0)
     for i, j in itertools.product(range(degree + 1), repeat=2):
-        m1 = datum.n1 + ident.scale(i)
-        m2 = datum.n2 + ident.scale(j)
-        w1, w2 = i >= 1, j >= 1
-        cell_spaces = (
-            space(w1, w2, frozenset()),
-            space(w1, w2, frozenset({1})),
-            space(w1, w2, frozenset({2})),
-            space(w1, w2, frozenset({1, 2})),
-        )
-        _check_well_defined(m1, m2, *cell_spaces)
-        cell = _three_term_betti(m1, m2, *cell_spaces)
-        for r in range(3):
-            total[r] += cell[r]
-    return tuple(total)  # type: ignore[return-value]
+        key = (min(i, 1), min(j, 1))
+        if key not in spaces:
+            spaces[key] = [_span_passing(dim, generators, J, *key) for J in _COMPONENTS]
+        cell = StalkComplex(*spaces[key], datum.n1 + ident.scale(i), datum.n2 + ident.scale(j))
+        total = tuple(t + h for t, h in zip(total, hypercohomology(cell)))
+    return total  # type: ignore[return-value]
 
 
 # ----------------------------------------------------------------------
@@ -543,19 +503,12 @@ def total_cohomology(dc: DoubleComplex) -> tuple[int, ...]:
             raise AnticommutationFailure(f"horizontal square at {key} is nonzero")
         if not _compose_zero(ver.get(key), ver.get((p, q + 1))):
             raise AnticommutationFailure(f"vertical square at {key} is nonzero")
-        # δd + dδ into (p+1, q+1)
-        path1 = None
-        if ver.get(key) is not None and hor.get((p, q + 1)) is not None:
-            path1 = hor[(p, q + 1)] @ ver[key]
-        path2 = None
-        if hor.get(key) is not None and ver.get((p + 1, q)) is not None:
-            path2 = ver[(p + 1, q)] @ hor[key]
-        if path1 is not None and path2 is not None:
-            if not (path1 + path2).is_zero():
-                raise AnticommutationFailure(f"square at {key} does not anticommute")
-        elif path1 is not None and not path1.is_zero():
-            raise AnticommutationFailure(f"square at {key} does not anticommute")
-        elif path2 is not None and not path2.is_zero():
+        # δd + dδ into (p+1, q+1) vanishes; a path with an absent map is zero
+        paths = [second @ first
+                 for first, second in ((ver.get(key), hor.get((p, q + 1))),
+                                       (hor.get(key), ver.get((p + 1, q))))
+                 if first is not None and second is not None]
+        if paths and not sum(paths[1:], paths[0]).is_zero():
             raise AnticommutationFailure(f"square at {key} does not anticommute")
 
     degrees = sorted({p + q for p, q in keys})
@@ -586,10 +539,9 @@ def two_chart_cover(c: StalkComplex) -> DoubleComplex:
     difference (a, b) ↦ a - b; the vertical differential acquires a sign
     on the overlap column so that the squares anticommute.
     """
-    d0, d1 = _differentials(c.n1, c.n2, c.k0, c.k1_dt1, c.k1_dt2, c.k2)
     k0, k1, k2 = c.dims
     qdims = {0: k0, 1: k1, 2: k2}
-    qmaps = {0: d0, 1: d1}
+    qmaps = {0: c.d0, 1: c.d1}
     spaces: dict = {}
     horizontal: dict = {}
     vertical: dict = {}

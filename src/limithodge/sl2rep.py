@@ -458,10 +458,10 @@ def _check_horizontality(bigrading: Bigrading, action: Sl2PairAction) -> None:
     def piece(p: int, q: int) -> Subspace:
         return bigrading.get((p, q), Subspace.zero(ambient))
 
+    # Z_j = [X+_j, X-_j]/4 then preserves every type, so it needs no check
     for j in (0, 1):
         xplus = action.horizontal_raising(j)
         xminus = action.horizontal_lowering(j)
-        z = action.torus_generator(j)
         for (p, q), sub in bigrading.items():
             if not maps_into(xplus, sub, piece(p - 1, q + 1)):
                 raise NotHorizontal(
@@ -469,8 +469,6 @@ def _check_horizontality(bigrading: Bigrading, action: Sl2PairAction) -> None:
             if not maps_into(xminus, sub, piece(p + 1, q - 1)):
                 raise NotHorizontal(
                     f"X-_{j+1} does not shift type ({p},{q}) to ({p+1},{q-1})")
-            if not maps_into(z, sub, sub):
-                raise NotHorizontal(f"Z_{j+1} does not preserve type ({p},{q})")
 
 
 def _check_isometric(S: ExactMatrix, action: Sl2PairAction) -> None:
@@ -556,8 +554,7 @@ def _orbit_columns(u: Sequence[Scalar], action: Sl2PairAction,
 
 
 def isotypic_decomposition(bigrading: Bigrading, action: Sl2PairAction,
-                           S: ExactMatrix | None = None,
-                           verify: bool = True) -> list[IrreducibleFactor]:
+                           S: ExactMatrix | None = None) -> list[IrreducibleFactor]:
     """Decompose a horizontal bigraded pair representation into irreducibles.
 
     Algorithm: split the joint lowest-weight space ker N1- ∩ ker N2- by
@@ -579,7 +576,8 @@ def isotypic_decomposition(bigrading: Bigrading, action: Sl2PairAction,
         raise ValueError("bigrading must have a single total weight")
     k = weights.pop()
     # certify the decomposition hypotheses
-    operator_from_bigrading(bigrading, lambda p, q: 0)  # direct-sum check
+    # T acts by p - q on the (p,q) piece; building it is the direct-sum check
+    t_op = operator_from_bigrading(bigrading, lambda p, q: p - q)
     _check_horizontality(bigrading, action)
     if S is not None:
         if not S.is_real():
@@ -589,7 +587,6 @@ def isotypic_decomposition(bigrading: Bigrading, action: Sl2PairAction,
     n1m, n2m = action.nminus
     y1, y2 = action.y
     lowest = intersect(kernel(n1m), kernel(n2m))
-    t_op = operator_from_bigrading(bigrading, lambda p, q: p - q)
     r_op = t_op + action.torus_generator(0) + action.torus_generator(1)
     wmax = max(abs(p - q) for p, q in bigrading)
 
@@ -676,8 +673,7 @@ def isotypic_decomposition(bigrading: Bigrading, action: Sl2PairAction,
     if accounted != ambient:
         raise DecompositionError(
             f"isotypic dimensions sum to {accounted}, ambient is {ambient}")
-    if verify:
-        _verify_decomposition(bigrading, action, S, factors, k)
+    _verify_decomposition(bigrading, action, S, factors, k)
     return factors
 
 

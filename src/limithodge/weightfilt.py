@@ -162,8 +162,8 @@ def commuting_check(Ns: Sequence[ExactMatrix]) -> None:
                 raise NonCommuting(f"matrices {i} and {j} do not commute")
 
 
-def cone_filtration(Ns: Sequence[ExactMatrix], lambdas: Sequence[Fraction | int],
-                    center: int = 0) -> WeightFiltration:
+def cone_filtration(Ns: Sequence[ExactMatrix],
+                    lambdas: Sequence[Fraction | int]) -> WeightFiltration:
     """Weight filtration of a positive combination of commuting nilpotents."""
     if len(Ns) != len(lambdas) or not Ns:
         raise ValueError("need matching nonempty matrix and coefficient lists")
@@ -174,7 +174,7 @@ def cone_filtration(Ns: Sequence[ExactMatrix], lambdas: Sequence[Fraction | int]
     total = ExactMatrix.zeros(Ns[0].rows, Ns[0].cols)
     for N, lam in zip(Ns, lams):
         total = total + N.scale(lam)
-    return monodromy_weight_filtration(total, center=center)
+    return monodromy_weight_filtration(total)
 
 
 def cone_independence_report(Ns: Sequence[ExactMatrix], samples: int = 10,
@@ -204,16 +204,13 @@ def cone_independence_report(Ns: Sequence[ExactMatrix], samples: int = 10,
     }
 
 
-def relative_weight_check(N1: ExactMatrix, N2: ExactMatrix,
-                          W: WeightFiltration | None = None) -> dict:
+def relative_weight_check(N1: ExactMatrix, N2: ExactMatrix) -> dict:
     """Check that the cone filtration induces, on each Gr_k of W(N1), the
     weight filtration of the induced N2 recentered at k.
 
     Returns a step-by-step report; ``agree`` is the conjunction.
     """
-    commuting_check([N1, N2])
-    if W is None:
-        W = cone_filtration([N1, N2], [1, 1])
+    W = cone_filtration([N1, N2], [1, 1])  # checks first that N1 and N2 commute
     W1 = monodromy_weight_filtration(N1)
     details = []
     agree = True

@@ -444,6 +444,10 @@ def test_cli_import_leaves_scipy_interpolate_unloaded():
     assert out.strip() == "False"
 
 
+_NAN_AMPLITUDE = {"k": 0.5, "l": 0.5, "modes": [
+    {"m": 0, "n": 0, "component": 2, "profile": "bump", "params": {"amplitude": "nan"}}]}
+
+
 @pytest.mark.parametrize("argv, code, loaded", [
     (["dbar-region", "--p", "0", "--q", "1", "--k", "0.5", "--l", "2"], 0, False),
     (["dbar-region", "--p", "0", "--q", "1", "--k", "nan"], 2, False),
@@ -451,9 +455,14 @@ def test_cli_import_leaves_scipy_interpolate_unloaded():
     (["dbar-solve", str(CONFIGS / "exit2-degree-0.json")], 2, False),
     (["dbar-solve", str(CONFIGS / "exit2-excluded-malformed-powers.json")], 2, False),
     (["dbar-solve", str(CONFIGS / "exit4-excluded.json")], 4, False),
+    (["dbar-solve", _NAN_AMPLITUDE], 2, False),
     (["dbar-solve", str(CONFIGS / "solve-corner.json")], 0, True),
-], ids=["region", "region-nan", "k-nan", "degree-0", "excluded-malformed", "excluded", "solve"])
-def test_dbar_commands_load_numpy_only_to_solve(argv, code, loaded):
+], ids=["region", "region-nan", "k-nan", "degree-0", "excluded-malformed", "excluded",
+        "amplitude-nan", "solve"])
+def test_dbar_commands_load_numpy_only_to_solve(tmp_path, argv, code, loaded):
+    # a dict stands for a config written on the fly, outside the golden dbar_configs/
+    argv = [_write_json(tmp_path / "config.json", a) if isinstance(a, dict) else a
+            for a in argv]
     assert _cli_in_subprocess(argv) == (code, loaded)
 
 

@@ -58,7 +58,7 @@ def test_grid_rejects_bad_parameters():
 def test_constant_data_give_polynomial_solution():
     phi = FourierForm(1, _GRID, ({}, {(0, 0): np.ones((_GRID.n, _GRID.n))}))
     assert check_integrability(phi)
-    u = solve_dbar_01(phi, WeightedLineBundle(0.0, 0.0), _GRID.a)
+    u = solve_dbar_01(phi, WeightedLineBundle(0.0, 0.0))
     assert set(u.components[0]) == {(0, -1)}
     assert dbar_residual(u, phi) < 1e-10
     # the exact answer up to the homogeneous deficit from truncating the
@@ -372,6 +372,12 @@ def test_case_from_json_degree_two_and_errors():
     ("poly", {"powers": [1]}, "not enough values to unpack"),
     ("bump", {"center": [None, 0.0]}, "center entries must be numbers"),
     ("bump", {"width": [0.5, "0.5"]}, "width entries must be numbers"),
+    ("bump", {"amplitude": "nan"}, "amplitude must be finite"),
+    ("bump", {"center": [0.0, float("inf")]}, "center entries must be finite"),
+    ("bump", {"width": [float("nan"), 1.0]}, "width entries must be finite"),
+    ("bump", {"width": [0, 1.0]}, "width entries must be nonzero"),
+    ("poly", {"powers": [float("-inf"), 2]}, "powers entries must be finite"),
+    ("poly", {"amplitude": float("inf")}, "amplitude must be finite"),
 ])
 def test_parse_case_rejects_malformed_params(profile, params, message):
     with pytest.raises(ValueError, match=message):

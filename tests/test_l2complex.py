@@ -25,7 +25,6 @@ from limithodge.l2complex import (
     truncated_global_model,
     two_chart_cover,
 )
-from limithodge.l2complex import _check_well_defined
 from limithodge.sl2rep import build_model
 from limithodge.weightfilt import NonCommuting, monodromy_weight_filtration
 
@@ -161,20 +160,19 @@ def test_ill_formed_complex_names_every_leg_that_leaves():
     with pytest.raises(IllFormedComplex, match=re.escape(
             "first differential leaves the dt1 component; "
             "second differential leaves the top component (dt2 leg)")):
-        _check_well_defined(one, zero, full, none, full, none)
+        StalkComplex(full, none, full, none, one, zero)
     with pytest.raises(IllFormedComplex, match=re.escape(
             "first differential leaves the dt2 component; "
             "second differential leaves the top component (dt1 leg)")):
-        _check_well_defined(zero, one, full, full, none, none)
+        StalkComplex(full, full, none, none, zero, one)
 
 
 def test_nonzero_composite_differential_is_rejected():
     full = Subspace.full(2)
     m1 = ExactMatrix([[0, 1], [0, 0]])
     m2 = ExactMatrix([[0, 0], [1, 0]])
-    c = StalkComplex(full, full, full, full, m1, m2)
     with pytest.raises(IllFormedComplex, match="composite differential is nonzero"):
-        hypercohomology(c)
+        StalkComplex(full, full, full, full, m1, m2)
 
 
 def test_hodge_bundle_mode_matches_local_system_on_corpus():
@@ -258,8 +256,7 @@ def test_ad_operators_commute_and_kill_each_other():
         e = end_datum(datum)
         assert e.n1.commutator(e.n2).is_zero()
         d = datum.dimension
-        flat_n2 = [datum.n2[i, j] for j in range(d) for i in range(d)]
-        assert not any(e.n1.apply(flat_n2)) or True  # ad(N1)(N2) = 0 checked below
+        flat_n2 = [datum.n2[i, j] for i in range(d) for j in range(d)]
         assert all(not x for x in e.n1.apply(flat_n2))
 
 
@@ -291,13 +288,15 @@ def test_exact_row_collapses():
 
 def test_anticommutation_enforced():
     one = ExactMatrix.identity(1)
-    dc = DoubleComplex(
-        spaces={(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
-        horizontal={(0, 0): one, (0, 1): one},
-        vertical={(0, 0): one, (1, 0): one},
-    )
-    with pytest.raises(AnticommutationFailure):
-        total_cohomology(dc)
+    spaces = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
+    both_paths = DoubleComplex(spaces, horizontal={(0, 0): one, (0, 1): one},
+                               vertical={(0, 0): one, (1, 0): one})
+    # only the path through (0, 1) exists; the missing one counts as zero
+    lone_path = DoubleComplex(spaces, horizontal={(0, 1): one}, vertical={(0, 0): one})
+    for dc in (both_paths, lone_path):
+        with pytest.raises(AnticommutationFailure,
+                           match=re.escape("square at (0, 0) does not anticommute")):
+            total_cohomology(dc)
 
 
 def test_two_chart_cover_reproduces_stalk_cohomology():
