@@ -12,8 +12,8 @@ non-commuting logarithms), 4 excluded exponent, 5 internal invariant
 failure.  Errors are emitted as one JSON object on standard error.
 
 Only ``oracle-compare`` and a ``dbar-solve`` config that gets as far as
-solving import ``dbar`` and with it numpy and scipy.  ``dbar-region`` and
-the exit-2 and exit-4 outcomes of ``dbar-solve`` need only ``dbarspec``.
+solving import ``dbar`` and with it numpy.  ``dbar-region`` and the exit-2
+and exit-4 outcomes of ``dbar-solve`` need only ``dbarspec``.
 
 Input files with monodromy data follow one schema::
 
@@ -681,7 +681,7 @@ def _cmd_dbar_solve(args: argparse.Namespace) -> dict:
                        f"no solver for degree {spec.degree} data")
     bundle = spec.bundle
     bundle.require_admissible()
-    # only a config that will be solved pays for numpy and scipy
+    # only a config that will be solved pays for numpy
     from . import dbar
 
     phi = dbar.sample_case(spec)

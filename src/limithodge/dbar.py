@@ -12,7 +12,12 @@ square, the corner picked by the signs of ``(m, n)`` with the exponents
 Everything here is floating point: solutions come from cubic-spline
 antiderivatives, residuals from high-order log-variable stencils, and norms
 from trapezoid quadrature against the Poincare-type volume
-``dr / (r (-log r)^2)`` per factor.  Integral finiteness is decided by
+``dr / (r (-log r)^2)`` per factor.  The spline is the not-a-knot cubic
+through the grid points, computed with numpy alone: its slopes solve a
+tridiagonal system whose elimination is factored once per grid, and each
+antiderivative repeats, operation for operation, the arithmetic of scipy's
+``CubicSpline(r, y).antiderivative()(r)``, so reports match it to the
+last bit.  Integral finiteness is decided by
 refinement-ratio tests, never symbolically; the exact symbolic verdicts
 live in ``l2complex`` and ``integrability_oracle`` exists to cross-check
 them from this side.
@@ -27,7 +32,6 @@ from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 # The numpy-free half of the layer; re-exported so that ``dbar`` stays the
 # one import for library callers.
@@ -198,13 +202,171 @@ def _transport(values: np.ndarray, grid: RadialGrid, axis: int, mode_index: int)
     return 0.5 * (_radial_derivative(values, grid, axis) - mode_index * values / r)
 
 
-def _antiderivative(r: np.ndarray, integrand: np.ndarray, start: float) -> np.ndarray:
-    """Cumulative spline integral of integrand along r (axis 0) from start.
+@dataclass(frozen=True)
+class _SplineSystem:
+    """The grid-only half of a not-a-knot cubic spline through the grid points.
+
+    The derivative system is LAPACK ``gtsv``'s tridiagonal elimination with
+    partial pivoting: ``swaps`` and ``factors`` replay it on a right-hand
+    side, ``diag``, ``upper`` and ``upper2`` are the U factor it leaves for
+    the back-substitution.  ``ends`` holds the coefficients of the two
+    not-a-knot rows, once for 1-D data and once for 2-D, because numpy
+    squares a scalar step through ``pow`` and an array of steps by
+    multiplication, and the two disagree in the last bit.  ``powers`` are
+    the steps s, s^2, s^3, s^4, each by one more multiplication.
+    """
+
+    swaps: tuple[bool, ...]
+    factors: tuple[float, ...]
+    diag: tuple[float, ...]
+    upper: tuple[float, ...]
+    upper2: tuple[float, ...]
+    ends: tuple[tuple[float, ...], tuple[float, ...]]
+    powers: tuple[np.ndarray, ...]
+
+
+@lru_cache(maxsize=16)
+def _spline_system(grid: RadialGrid) -> _SplineSystem:
+    r = grid.r
+    dx = np.diff(r)
+    h = dx.tolist()
+    n = grid.n
+    d0 = float(r[2] - r[0])
+    d1 = float(r[-1] - r[-3])
+    # the tridiagonal matrix in LAPACK's storage: row i reads
+    # lower[i-1] s[i-1] + diag[i] s[i] + upper[i] s[i+1]
+    diag = [h[1], *(2 * (dx[:-1] + dx[1:])).tolist(), h[-2]]
+    upper = [d0, *h[:-1]]
+    lower = [*h[1:], d1]
+    swaps, factors = [], []
+    for i in range(n - 1):
+        swap = abs(diag[i]) < abs(lower[i])
+        if not swap:
+            factor = lower[i] / diag[i]
+            diag[i + 1] = diag[i + 1] - factor * upper[i]
+            lower[i] = 0.0
+        else:
+            factor = diag[i] / lower[i]
+            diag[i], temp = lower[i], diag[i + 1]
+            diag[i + 1] = upper[i] - factor * temp
+            if i < n - 2:
+                lower[i] = upper[i + 1]
+                upper[i + 1] = -factor * lower[i]
+            upper[i] = temp
+        swaps.append(swap)
+        factors.append(factor)
+    lead0 = (h[0] + 2 * d0) * h[1]
+    lead1 = (2 * d1 + h[-1]) * h[-2]
+    scalar = (lead0, float(dx[0] ** 2), d0, lead1, float(dx[-1] ** 2), d1)
+    array = (lead0, h[0] * h[0], d0, lead1, h[-1] * h[-1], d1)
+    powers = [dx]
+    for _ in range(3):
+        powers.append(powers[-1] * dx)
+    return _SplineSystem(tuple(swaps), tuple(factors), tuple(diag), tuple(upper),
+                         tuple(lower[:-1]), (scalar, array), tuple(powers))
+
+
+def _rows(a: np.ndarray) -> list:
+    """A 1-D array's entries as Python floats, or a 2-D array's rows as views.
+
+    Python floats are IEEE doubles with no fused multiply-add, so a loop
+    over either kind performs the same roundings as numpy would.
+    """
+    return a.tolist() if a.ndim == 1 else list(a)
+
+
+def _solve_spline_system(system: _SplineSystem, rhs: np.ndarray) -> np.ndarray:
+    """Spline slopes s from the right-hand side, by gtsv's arithmetic.
+
+    Every operation is the one LAPACK performs, in its order, on a scalar
+    or a whole row at a time; a 2-D ``rhs`` is overwritten.
+    """
+    b = _rows(rhs)
+    for i, (swap, factor) in enumerate(zip(system.swaps, system.factors)):
+        if swap:
+            b[i], b[i + 1] = b[i + 1], b[i] - factor * b[i + 1]
+        else:
+            b[i + 1] -= factor * b[i]
+    diag, upper, upper2 = system.diag, system.upper, system.upper2
+    b[-1] /= diag[-1]
+    b[-2] -= upper[-1] * b[-1]
+    b[-2] /= diag[-2]
+    for i in range(len(b) - 3, -1, -1):
+        b[i] -= upper[i] * b[i + 1]
+        b[i] -= upper2[i] * b[i + 2]
+        b[i] /= diag[i]
+    return np.array(b)
+
+
+def _spline_antiderivative(grid: RadialGrid, y: np.ndarray) -> np.ndarray:
+    """The antiderivative of the not-a-knot cubic spline of real y, at the grid.
+
+    Bit for bit what scipy 1.17 returns for
+    ``CubicSpline(grid.r, y, axis=0).antiderivative()(grid.r)``: the
+    derivative system, the Hermite coefficients, and the running constant
+    that ``PPoly.antiderivative`` fixes interval by interval,
+    (((C + a3 s) + a2 s^2) + a1 s^3) + a0 s^4 from C = 0, which is also
+    the value at the next grid point.
+    """
+    system = _spline_system(grid)
+    column = (slice(None),) + (None,) * (y.ndim - 1)
+    dx, dx2, dx3, dx4 = (z[column] for z in system.powers)
+    lead0, square0, d0, lead1, square1, d1 = system.ends[y.ndim > 1]
+    # The formulas are scipy's, evaluated in place where a temporary would
+    # be a fresh (n, m) array: on 2-D data the page faults of such
+    # temporaries cost about as much as the arithmetic.
+    slope = np.diff(y, axis=0)
+    slope /= dx
+    rhs = np.empty(y.shape)
+    inner = rhs[1:-1]  # 3 (dx[1:] slope[:-1] + dx[:-1] slope[1:])
+    np.multiply(dx[1:], slope[:-1], out=inner)
+    inner += dx[:-1] * slope[1:]
+    inner *= 3
+    rhs[0] = (lead0 * slope[0] + square0 * slope[1]) / d0
+    rhs[-1] = (square1 * slope[-2] + lead1 * slope[-1]) / d1
+    s = _solve_spline_system(system, rhs)
+    t = s[:-1] + s[1:]  # (s[:-1] + s[1:] - 2 slope) / dx
+    t -= 2 * slope
+    t /= dx
+    a2 = s[:-1] / 2.0  # the antiderivative's coefficients times s^k
+    a2 *= dx2
+    a1 = slope  # ((slope - s[:-1]) / dx - t) / 3 dx^3
+    a1 -= s[:-1]
+    a1 /= dx
+    a1 -= t
+    a1 /= 3.0
+    a1 *= dx3
+    a0 = t  # t / dx / 4 dx^4
+    a0 /= dx
+    a0 /= 4.0
+    a0 *= dx4
+    terms = (y[:-1] * dx, a2, a1, a0)
+    total = 0.0 if y.ndim == 1 else np.zeros(y.shape[1:])
+    values = [total]
+    for x3, x2, x1, x0 in zip(*map(_rows, terms)):
+        total = total + x3
+        total += x2
+        total += x1
+        total += x0
+        values.append(total)
+    return np.array(values)
+
+
+def _antiderivative(grid: RadialGrid, integrand: np.ndarray, start: float) -> np.ndarray:
+    """Cumulative spline integral of integrand along grid.r (axis 0) from start.
 
     A start of 0 integrates from the grid's inner edge, any other start
-    from the grid top.
+    from the grid top.  Complex data integrate their real and imaginary
+    parts apart.
     """
-    values = CubicSpline(r, integrand, axis=0).antiderivative()(r)
+    if not np.all(np.isfinite(integrand)):
+        raise ValueError("`y` must contain only finite values.")
+    if np.iscomplexobj(integrand):
+        values = np.empty(integrand.shape, dtype=complex)
+        values.real = _spline_antiderivative(grid, integrand.real)
+        values.imag = _spline_antiderivative(grid, integrand.imag)
+    else:
+        values = _spline_antiderivative(grid, np.asarray(integrand, dtype=float))
     return values - values[-1] if start != 0.0 else values
 
 
@@ -219,7 +381,7 @@ def _path_integral(profile: np.ndarray, grid: RadialGrid, axis: int,
     r = grid.r
     work = profile if axis == 0 else profile.T
     integrand = work * r[:, None] ** float(-mode_index)
-    values = _antiderivative(r, integrand, start)
+    values = _antiderivative(grid, integrand, start)
     return values if axis == 0 else values.T
 
 
@@ -299,7 +461,7 @@ def _edge_leg(profile: np.ndarray, grid: RadialGrid, m: int, n: int,
     r = grid.r
     edge = 0 if c1 == 0.0 else grid.n - 1
     integrand = profile[edge, :] * r ** float(-n)
-    values = _antiderivative(r, integrand, c2)
+    values = _antiderivative(grid, integrand, c2)
     scale = 2.0 * r[edge] ** float(-m)
     return scale * np.outer(r ** float(m), r ** float(n) * values)
 

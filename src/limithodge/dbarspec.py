@@ -2,9 +2,9 @@
 
 This module holds the dbar errors, the metric exponents and the radial grid
 description, the corner rule, Hormander's coverage predicate and the parser
-of ``dbar-solve`` experiment configs.  None of it imports numpy or scipy at
-module level, so the CLI answers ``dbar-region`` and rejects invalid input
-(exit 2) or an excluded exponent (exit 4) before those load.  ``dbar``
+of ``dbar-solve`` experiment configs.  None of it imports numpy at module
+level, so the CLI answers ``dbar-region`` and rejects invalid input (exit 2)
+or an excluded exponent (exit 4) before numpy loads.  ``dbar``
 re-exports every public name here and does the sampling and solving.
 """
 
@@ -19,8 +19,17 @@ if TYPE_CHECKING:
     import numpy as np
 
 # Twice the largest grid any test or benchmark solves on; at 4096 points
-# the spline coefficients of one mode alone take about 0.5 GB.
+# the running spline terms of one mode alone (4n x n doubles) take about
+# 0.5 GB.
 MAX_POINTS = 2048
+# The largest |e log r| of a radial power r^e that a config may make the
+# solver form on its grid: the mode weights r^(+-(|m|+1)) and the profile
+# powers r^p.  A solve multiplies at most four such powers (two profile
+# powers, a path weight and its inverse), so 4 * 170 stays inside the
+# normal double range e^(+-708) and every product is finite and nonzero.
+# On the default grid (radii down to e^-9) this allows |m| <= 17 and
+# |p| <= 18.9.
+MAX_LOG_POWER = 170.0
 
 
 class ExcludedExponent(ValueError):
@@ -173,6 +182,17 @@ class CaseSpec:
     modes: tuple[ModeSpec, ...]
 
 
+def _mode_index(entry: Mapping, key: str, bound: float) -> int:
+    """A mode index whose path weights r^(+-(|index|+1)) have exponents within bound."""
+    try:
+        index = int(entry[key])
+    except OverflowError:
+        raise ValueError(f"{key} must be finite, got {entry[key]!r}") from None
+    if abs(index) + 1 > bound:
+        raise ValueError(f"{key} must satisfy |{key}| + 1 <= {bound:.6g} on this grid, got {index}")
+    return index
+
+
 def _number_pair(params: Mapping, key: str, default: tuple) -> tuple:
     value = tuple(params.get(key, default))
     for entry in value:
@@ -192,8 +212,10 @@ def parse_case(data: Mapping) -> CaseSpec:
     modes, each with m, n, a profile tag ("bump" or "poly"), its params,
     and for degree-1 data a component tag 1 or 2.  Bump params: center and
     nonzero width in log-radius units plus amplitude; poly params: powers
-    and amplitude; every number finite.  Raises ValueError, KeyError or
-    TypeError on any malformed entry, so sampling the result cannot fail.
+    and amplitude; every number finite.  Mode indices and powers are
+    bounded by ``MAX_LOG_POWER`` over the grid's log-depth.  Raises
+    ValueError, KeyError or TypeError on any malformed entry, so sampling
+    the result cannot fail.
     """
     k = _finite(data, "k")
     l = _finite(data, "l")
@@ -206,11 +228,14 @@ def parse_case(data: Mapping) -> CaseSpec:
         if kwargs["n"] > MAX_POINTS:
             raise ValueError(f"points must be at most {MAX_POINTS}, got {kwargs['n']}")
     grid = RadialGrid(**kwargs)
+    # the largest exponent a radial power may have: |log r| on the grid
+    # runs up to -log of the smallest radius, span - log a
+    bound = MAX_LOG_POWER / (grid.span - math.log(grid.a))
     count = 2 if degree == 1 else 1
     modes = []
     for entry in data.get("modes", ()):
-        m = int(entry["m"])
-        n = int(entry["n"])
+        m = _mode_index(entry, "m", bound)
+        n = _mode_index(entry, "n", bound)
         params = entry.get("params", {})
         if not isinstance(params, Mapping):
             raise ValueError(f"params of mode ({m}, {n}) must be an object, got {params!r}")
@@ -222,6 +247,9 @@ def parse_case(data: Mapping) -> CaseSpec:
                 raise ValueError(f"width entries must be nonzero, got {list(shape[1])}")
         elif tag == "poly":
             shape = (_number_pair(params, "powers", (0.0, 0.0)),)
+            if max(abs(p) for p in shape[0]) > bound:
+                raise ValueError(f"powers entries must satisfy |p| <= {bound:.6g} on this grid, "
+                                 f"got {list(shape[0])}")
         else:
             raise ValueError(f"unknown profile tag {tag!r}")
         amplitude = _finite(params, "amplitude") if "amplitude" in params else 1.0

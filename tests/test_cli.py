@@ -437,15 +437,25 @@ def _cli_in_subprocess(argv):
     return int(code), loaded == "True"
 
 
-def test_cli_import_leaves_scipy_interpolate_unloaded():
-    probe = "import sys, limithodge.cli; print('scipy.interpolate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=_subprocess_env(),
-                         capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+def test_solving_dbar_commands_leave_scipy_unloaded():
+    probe = ("import sys\nfrom limithodge.cli import main\ncode = main(sys.argv[1:])\n"
+             "print(code, 'limithodge.dbar' in sys.modules,"
+             " [m for m in sys.modules if m.partition('.')[0] == 'scipy'])")
+    for argv in (["dbar-solve", str(CONFIGS / "solve-corner.json")],
+                 ["oracle-compare", "--l-min", "-1", "--l-max", "0", "--n-max", "0",
+                  "--jobs", "1"]):
+        out = subprocess.run([sys.executable, "-c", probe, *argv], env=_subprocess_env(),
+                             capture_output=True, text=True, check=True).stdout
+        assert out.splitlines()[-1] == "0 True []", argv
 
 
 _NAN_AMPLITUDE = {"k": 0.5, "l": 0.5, "modes": [
     {"m": 0, "n": 0, "component": 2, "profile": "bump", "params": {"amplitude": "nan"}}]}
+
+
+def _poly_mode(m, powers):
+    return {"k": 0.5, "l": 0.5, "modes": [
+        {"m": m, "n": 0, "component": 2, "profile": "poly", "params": {"powers": powers}}]}
 
 
 @pytest.mark.parametrize("argv, code, loaded", [
@@ -456,9 +466,12 @@ _NAN_AMPLITUDE = {"k": 0.5, "l": 0.5, "modes": [
     (["dbar-solve", str(CONFIGS / "exit2-excluded-malformed-powers.json")], 2, False),
     (["dbar-solve", str(CONFIGS / "exit4-excluded.json")], 4, False),
     (["dbar-solve", _NAN_AMPLITUDE], 2, False),
+    (["dbar-solve", _poly_mode(100000, [0, 0])], 2, False),
+    (["dbar-solve", _poly_mode(-100000, [0, 0])], 2, False),
+    (["dbar-solve", _poly_mode(0, [0, 1000])], 2, False),
     (["dbar-solve", str(CONFIGS / "solve-corner.json")], 0, True),
 ], ids=["region", "region-nan", "k-nan", "degree-0", "excluded-malformed", "excluded",
-        "amplitude-nan", "solve"])
+        "amplitude-nan", "m-huge", "m-huge-negative", "power-huge", "solve"])
 def test_dbar_commands_load_numpy_only_to_solve(tmp_path, argv, code, loaded):
     # a dict stands for a config written on the fly, outside the golden dbar_configs/
     argv = [_write_json(tmp_path / "config.json", a) if isinstance(a, dict) else a

@@ -13,6 +13,7 @@ from limithodge.dbar import (
     IncompatibleInput,
     RadialGrid,
     WeightedLineBundle,
+    _antiderivative,
     bound_corpus,
     check_integrability,
     dbar_residual,
@@ -385,6 +386,29 @@ def test_parse_case_rejects_malformed_params(profile, params, message):
                     "modes": [{"m": 0, "n": 0, "profile": profile, "params": params}]})
 
 
+@pytest.mark.parametrize("mode, message", [
+    ({"m": 100000, "n": 0}, r"m must satisfy \|m\| \+ 1 <= 18.8889 on this grid, got 100000"),
+    ({"m": 0, "n": -18}, r"n must satisfy \|n\| \+ 1 <= 18.8889 on this grid, got -18"),
+    ({"m": 1e400, "n": 0}, "m must be finite, got inf"),
+    ({"m": 0, "n": 0, "params": {"powers": [0, 1000]}},
+     r"powers entries must satisfy \|p\| <= 18.8889 on this grid, got \[0, 1000\]"),
+])
+def test_parse_case_caps_mode_indices_and_powers(mode, message):
+    entry = {"profile": "poly", "params": {}, **mode}
+    with pytest.raises(ValueError, match=message):
+        parse_case({"k": 0.0, "l": 0.0, "modes": [entry]})
+
+
+def test_parse_case_mode_cap_follows_the_grid_depth():
+    # radii down to e^-9 on the default grid, 0.1 e^-8 (about e^-10.3) with A = 0.1
+    edge = {"m": 17, "n": -17, "profile": "poly", "params": {"powers": [18.8, -18.8]}}
+    assert parse_case({"k": 0.0, "l": 0.0, "modes": [edge]}).modes[0].m == 17
+    with pytest.raises(ValueError, match="m must satisfy"):
+        parse_case({"k": 0.0, "l": 0.0, "A": 0.1, "modes": [edge]})
+    with pytest.raises(ValueError, match="powers entries must satisfy"):
+        parse_case({"k": 0.0, "l": 0.0, "A": 0.1, "modes": [{**edge, "m": 0, "n": 0}]})
+
+
 def test_parse_case_caps_the_grid_size():
     assert parse_case({"k": 0.0, "l": 0.0, "points": 2048}).grid.n == 2048
     with pytest.raises(ValueError, match="points must be at most 2048"):
@@ -396,3 +420,41 @@ def test_complex_profiles_supported():
     phi = FourierForm(1, _GRID, ({}, {(0, 0): data}))
     u = solve_dbar_01(phi, WeightedLineBundle(0.5, 0.5))
     assert dbar_residual(u, phi) < 1e-10
+
+
+def test_antiderivative_rejects_non_finite_data():
+    integrand = np.ones(_GRID.n)
+    integrand[7] = np.inf
+    with pytest.raises(ValueError, match="must contain only finite values"):
+        _antiderivative(_GRID, integrand, 0.0)
+
+
+# n = 16 pivots in the tridiagonal elimination; at n = 286 numpy's scalar
+# square of the first step differs from the product in the last bit
+@pytest.mark.parametrize("n", [16, 64, 256, 286, 512, 1024])
+def test_antiderivative_is_bit_identical_to_scipy(n):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    grid = RadialGrid(n=n)
+    rng = np.random.default_rng(n)
+    shape = (n, 8)
+    # entries from e^-20 to e^20 in size, of both signs, and data weighted
+    # to the inner edge like the path integrands rho^-m f; each 2-D input
+    # is also integrated column by column, which runs the 1-D arithmetic
+    for data in (rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape)),
+                 grid.r[:, None] ** -4.0 * rng.standard_normal(shape)):
+        for y in (data, *data.T):
+            reference = interpolate.CubicSpline(grid.r, y, axis=0).antiderivative()(grid.r)
+            assert np.array_equal(_antiderivative(grid, y, 0.0), reference)
+            assert np.array_equal(_antiderivative(grid, y, grid.a), reference - reference[-1])
+
+
+def test_complex_antiderivative_splits_real_and_imaginary_parts():
+    interpolate = pytest.importorskip("scipy.interpolate")
+    grid = RadialGrid(n=64)
+    rng = np.random.default_rng(7)
+    y = rng.standard_normal((64, 5)) + 1j * rng.standard_normal((64, 5))
+    got = _antiderivative(grid, y, grid.a)
+    assert np.array_equal(got.real, _antiderivative(grid, y.real, grid.a))
+    assert np.array_equal(got.imag, _antiderivative(grid, y.imag, grid.a))
+    reference = interpolate.CubicSpline(grid.r, y, axis=0).antiderivative()(grid.r)
+    assert np.allclose(got, reference - reference[-1], rtol=1e-14, atol=0.0)
