@@ -8,6 +8,7 @@ weightfilt   monodromy weight filtrations, cones, relative filtrations
 sl2rep       commuting sl2-pair representations and isotypic decomposition
 hodgestruct  (mixed) Hodge structures, polarizations, Deligne bigradings
 growth       Hodge-norm growth classes and adapted frames
+l2verdict    the square-integrability classifier, without exact algebra
 l2complex    the finite L2 Dolbeault models and their cohomology
 dbarspec     dbar errors, metric and grid specs, corner rule, Hormander region and
              config parsing, without numpy

@@ -11,9 +11,20 @@ Exit codes: 0 success, 2 invalid input, 3 precondition violated (e.g.
 non-commuting logarithms), 4 excluded exponent, 5 internal invariant
 failure.  Errors are emitted as one JSON object on standard error.
 
-Only ``oracle-compare`` and a ``dbar-solve`` config that gets as far as
-solving import ``dbar`` and with it numpy.  ``dbar-region`` and the exit-2
-and exit-4 outcomes of ``dbar-solve`` need only ``dbarspec``.
+Each handler imports the library modules it runs when it runs, so a
+process loads only what its subcommand uses:
+
+- ``dbar-region`` and a ``dbar-solve`` that exits 2 or 4 load ``dbarspec``
+  only; ``dbar`` and with it numpy load only for a config that gets as far
+  as solving, and for ``oracle-compare``;
+- ``l2-classify`` loads ``l2verdict`` only, with no exact algebra;
+- an unreadable or unparseable datum file loads nothing more;
+- loading a raw ``N1``/``N2`` datum takes ``exactla``, ``serialize`` and
+  ``weightfilt``, and a model spec ``sl2rep`` in place of ``weightfilt``;
+  a built-in label loads ``l2complex``, which holds the corpus.
+
+``main`` maps the library's errors to exit codes 3 and 5 by looking their
+classes up among the loaded modules, as an error can only come from one.
 
 Input files with monodromy data follow one schema::
 
@@ -39,54 +50,12 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from .exactla import ExactMatrix, Filtration
-from .growth import D_EPS, D_EPS_PRIME, hodge_norm_class, section_from_datum, theta_apply_class
-from .hodgestruct import (
-    MixedHodge,
-    NotAHodgeFiltration,
-    NotPolarized,
-    mhs_check,
-    polarized_mhs_check,
-    r_split_check,
-)
-from .l2complex import (
-    HODGE_BUNDLE,
-    LOCAL_SYSTEM,
-    AnticommutationFailure,
-    IllFormedComplex,
-    MonodromyDatum,
-    build_stalk_complex,
-    classify_l2,
-    hypercohomology,
-    standard_corpus,
-    theta_image_check,
-    truncated_global_model,
-)
-from .serialize import filtration_from_json, matrix_from_json, vector_from_json, vector_to_json
-from .sl2rep import (
-    DecompositionError,
-    Model,
-    NoSolution,
-    NotHorizontal,
-    NotIsometric,
-    WrongKind,
-    alpha_basis,
-    build_model,
-    direct_sum_models,
-    isotypic_decomposition,
-    transport_model,
-)
-from .weightfilt import (
-    AxiomFailure,
-    NonCommuting,
-    NonPositiveCoefficient,
-    NotNilpotent,
-    commuting_check,
-    cone_independence_report,
-    monodromy_weight_filtration,
-)
+if TYPE_CHECKING:
+    from .exactla import ExactMatrix, Filtration
+    from .l2complex import MonodromyDatum
+    from .sl2rep import Model
 
 EXIT_INVALID_INPUT = 2
 EXIT_PRECONDITION = 3
@@ -94,7 +63,20 @@ EXIT_EXCLUDED_EXPONENT = 4
 EXIT_INTERNAL = 5
 
 _REGION_FLAGS = ("d-eps", "d-eps-prime", "global")
-_REGION_OF_FLAG = {"d-eps": D_EPS, "d-eps-prime": D_EPS_PRIME}
+
+# Library errors that map to exit codes 3 and 5, by module.  An exception
+# can only come from a module that is loaded, so ``main`` looks the classes
+# up in ``sys.modules`` instead of importing every module to name them.
+_PRECONDITION_ERRORS = {
+    "weightfilt": ("NonCommuting", "NotNilpotent", "NonPositiveCoefficient"),
+    "sl2rep": ("NotHorizontal", "NotIsometric", "NoSolution", "WrongKind"),
+    "hodgestruct": ("NotAHodgeFiltration", "NotPolarized"),
+}
+_INTERNAL_ERRORS = {
+    "weightfilt": ("AxiomFailure",),
+    "sl2rep": ("DecompositionError",),
+    "l2complex": ("AnticommutationFailure", "IllFormedComplex"),
+}
 
 
 class CliError(Exception):
@@ -144,6 +126,8 @@ class LoadedDatum:
     labels: list[str] | None = None
 
     def as_monodromy(self) -> MonodromyDatum:
+        from .l2complex import MonodromyDatum
+
         return MonodromyDatum(
             weight=self.weight,
             n1=self.n1,
@@ -153,13 +137,6 @@ class LoadedDatum:
             model=self.model,
             label=self.name,
         )
-
-
-def _corpus_entry(name: str) -> MonodromyDatum | None:
-    for datum in standard_corpus():
-        if datum.label == name:
-            return datum
-    return None
 
 
 def _read_payload(arg: str) -> tuple[dict | None, str, MonodromyDatum | None]:
@@ -184,12 +161,21 @@ def _read_payload(arg: str) -> tuple[dict | None, str, MonodromyDatum | None]:
             raise CliError(EXIT_INVALID_INPUT, "invalid-input",
                            f"{arg}: top-level JSON value must be an object")
         return payload, digest, None
-    builtin = _corpus_entry(arg)
+    from .l2complex import corpus_entry
+
+    builtin = corpus_entry(arg)
     if builtin is not None:
         digest = hashlib.sha256(f"corpus:{arg}".encode()).hexdigest()[:16]
         return None, digest, builtin
     raise CliError(EXIT_INVALID_INPUT, "invalid-input",
                    f"no such file or corpus entry: {arg}")
+
+
+def _integer(key: str, value: Any) -> int:
+    """A JSON integer field: an int that is not a bool; a float or a string is rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _model_from_spec(spec: Any) -> Model:
@@ -199,20 +185,17 @@ def _model_from_spec(spec: Any) -> Model:
     {"sum": [spec, ...]} for a direct sum; an optional "transport" matrix
     conjugates the result out of the split basis.
     """
+    from .serialize import matrix_from_json
+    from .sl2rep import build_model, direct_sum_models, transport_model
+
     if not isinstance(spec, dict):
         raise CliError(EXIT_INVALID_INPUT, "invalid-input", "model spec must be an object")
     try:
         if "sum" in spec:
             model = direct_sum_models([_model_from_spec(s) for s in spec["sum"]])
         else:
-            model = build_model(
-                spec.get("kind", "S"),
-                m=int(spec.get("m", 0)),
-                n=int(spec.get("n", 0)),
-                l=int(spec.get("l", 0)),
-                p=int(spec.get("p", 0)),
-                q=int(spec.get("q", 0)),
-            )
+            model = build_model(spec.get("kind", "S"),
+                                **{key: _integer(key, spec.get(key, 0)) for key in "mnlpq"})
         if "transport" in spec:
             model = transport_model(model, matrix_from_json(spec["transport"]))
     except CliError:
@@ -238,15 +221,19 @@ def _load_datum(arg: str) -> LoadedDatum:
             labels=list(builtin.model.labels) if builtin.model else None,
         )
     assert payload is not None
+    from .serialize import filtration_from_json, matrix_from_json, vector_from_json
+
     model = _model_from_spec(payload["model"]) if "model" in payload else None
+    # a model's N1, N2 commute by construction (Sl2PairAction checks it)
+    from_model = model is not None and ("N1" not in payload or "N2" not in payload)
     try:
-        if model is not None and ("N1" not in payload or "N2" not in payload):
+        if from_model:
             n1, n2 = model.action.nminus
             dim = model.dim
-            weight = int(payload.get("weight", model.weight))
+            weight = _integer("weight", payload.get("weight", model.weight))
         else:
-            dim = int(payload["dimension"])
-            weight = int(payload.get("weight", 0))
+            dim = _integer("dimension", payload["dimension"])
+            weight = _integer("weight", payload.get("weight", 0))
             n1 = matrix_from_json(payload["N1"])
             n2 = matrix_from_json(payload["N2"])
         hodge = filtration_from_json(payload["F"]) if "F" in payload else None
@@ -262,7 +249,10 @@ def _load_datum(arg: str) -> LoadedDatum:
         if mat.rows != dim or mat.cols != dim:
             raise CliError(EXIT_INVALID_INPUT, "invalid-input",
                            f"{arg}: {label} is not square of dimension {dim}")
-    commuting_check([n1, n2])
+    if not from_model:
+        from .weightfilt import commuting_check
+
+        commuting_check([n1, n2])
     return LoadedDatum(
         name=arg,
         digest=digest,
@@ -372,6 +362,8 @@ def _fail(code: int, kind: str, message: str) -> int:
 def _sections_for(datum: LoadedDatum) -> list[tuple[str, tuple]]:
     """Labeled flat vectors: the alpha frame of a model, or explicit vectors."""
     if datum.model is not None:
+        from .sl2rep import alpha_basis, isotypic_decomposition
+
         factors = isotypic_decomposition(datum.model.bigrading, datum.model.action,
                                          datum.model.polarization)
         out: list[tuple[str, tuple]] = []
@@ -392,14 +384,12 @@ def _sections_for(datum: LoadedDatum) -> list[tuple[str, tuple]]:
                    "need a 'model' spec or a 'vectors' list to pick sections")
 
 
-def _regions(flag: str) -> list[str]:
-    if flag == "global":
-        return [D_EPS, D_EPS_PRIME]
-    return [_REGION_OF_FLAG[flag]]
+def _regions(flag: str) -> list[tuple[str, str]]:
+    """(growth region, report key) pairs of a --region flag."""
+    from .growth import D_EPS, D_EPS_PRIME
 
-
-def _region_key(region: str) -> str:
-    return "d_eps" if region == D_EPS else "d_eps_prime"
+    both = [(D_EPS, "d_eps"), (D_EPS_PRIME, "d_eps_prime")]
+    return {"d-eps": both[:1], "d-eps-prime": both[1:], "global": both}[flag]
 
 
 # ----------------------------------------------------------------------
@@ -408,6 +398,9 @@ def _region_key(region: str) -> str:
 
 def _cmd_weight_filtration(args: argparse.Namespace) -> dict:
     datum = _load_datum(args.datum)
+    from .serialize import vector_to_json
+    from .weightfilt import monodromy_weight_filtration
+
     if args.operator == "n1":
         op = datum.n1
     elif args.operator == "n2":
@@ -429,6 +422,8 @@ def _cmd_weight_filtration(args: argparse.Namespace) -> dict:
 
 def _cmd_cone_check(args: argparse.Namespace) -> dict:
     datum = _load_datum(args.datum)
+    from .weightfilt import cone_independence_report
+
     rep = cone_independence_report([datum.n1, datum.n2], samples=args.samples, seed=args.seed)
     return _report("cone-check", datum.digest, rep)
 
@@ -438,6 +433,8 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
     if datum.model is None:
         raise CliError(EXIT_INVALID_INPUT, "invalid-input",
                        "decompose needs a 'model' spec or a built-in corpus entry")
+    from .sl2rep import isotypic_decomposition
+
     model = datum.model
     factors = isotypic_decomposition(model.bigrading, model.action, model.polarization)
     results = {
@@ -463,6 +460,9 @@ def _cmd_alpha_basis(args: argparse.Namespace) -> dict:
     if datum.model is None:
         raise CliError(EXIT_INVALID_INPUT, "invalid-input",
                        "alpha-basis needs a 'model' spec or a built-in corpus entry")
+    from .serialize import vector_to_json
+    from .sl2rep import alpha_basis, isotypic_decomposition
+
     model = datum.model
     factors = isotypic_decomposition(model.bigrading, model.action, model.polarization)
     warns: list[str] = []
@@ -486,6 +486,9 @@ def _cmd_alpha_basis(args: argparse.Namespace) -> dict:
 
 def _cmd_mhs_check(args: argparse.Namespace) -> dict:
     datum = _load_datum(args.datum)
+    from .hodgestruct import MixedHodge, mhs_check, polarized_mhs_check, r_split_check
+    from .weightfilt import monodromy_weight_filtration
+
     if datum.model is not None:
         F = datum.model.limit_filtration()
     elif datum.hodge is not None:
@@ -512,16 +515,18 @@ def _cmd_mhs_check(args: argparse.Namespace) -> dict:
 
 def _cmd_norm_class(args: argparse.Namespace) -> dict:
     datum = _load_datum(args.datum)
+    from .growth import hodge_norm_class, section_from_datum
+
     sections = _sections_for(datum)
     entries = []
     for label, vec in sections:
         entry: dict = {"label": label}
-        for region in _regions(args.region):
-            first, second = ((datum.n1, datum.n2) if region == D_EPS
+        for region, key in _regions(args.region):
+            first, second = ((datum.n1, datum.n2) if key == "d_eps"
                              else (datum.n2, datum.n1))
             s = section_from_datum(vec, first, second)
             cls = hodge_norm_class(s, region)
-            entry[_region_key(region)] = {"weights": list(s.weights), "class": cls.to_json()}
+            entry[key] = {"weights": list(s.weights), "class": cls.to_json()}
         entries.append(entry)
     return _report("norm-class", datum.digest,
                    {"region": args.region, "sections": entries})
@@ -529,12 +534,14 @@ def _cmd_norm_class(args: argparse.Namespace) -> dict:
 
 def _cmd_theta_bound(args: argparse.Namespace) -> dict:
     datum = _load_datum(args.datum)
+    from .growth import section_from_datum, theta_apply_class
+
     sections = _sections_for(datum)
     entries = []
     all_bounded = True
     for label, vec in sections:
         base = section_from_datum(vec, datum.n1, datum.n2)
-        for region in _regions(args.region):
+        for region, key in _regions(args.region):
             for direction in (1, 2):
                 tc = theta_apply_class(base, direction, datum.n1, datum.n2, region)
                 if not tc.zero:
@@ -542,7 +549,7 @@ def _cmd_theta_bound(args: argparse.Namespace) -> dict:
                 entries.append({
                     "label": label,
                     "direction": direction,
-                    "region": _region_key(region),
+                    "region": key,
                     "zero": tc.zero,
                     "bounded": tc.bounded,
                     "form_class": tc.form_class.to_json(),
@@ -568,6 +575,8 @@ def _parse_component(text: str) -> frozenset[int]:
 
 
 def _cmd_l2_classify(args: argparse.Namespace) -> dict:
+    from .l2verdict import classify_l2
+
     component = _parse_component(args.component)
     verdict = classify_l2(component, args.n1, args.n2, args.l1, args.l2)
     results = verdict.to_json()
@@ -585,6 +594,9 @@ def _cmd_l2_classify(args: argparse.Namespace) -> dict:
 
 def _cmd_stalk_cohomology(args: argparse.Namespace) -> dict:
     datum = _load_datum(args.datum)
+    from .l2complex import (HODGE_BUNDLE, LOCAL_SYSTEM, build_stalk_complex, hypercohomology,
+                            truncated_global_model)
+
     mode = HODGE_BUNDLE if args.mode == "hodge-bundle" else LOCAL_SYSTEM
     monodromy = datum.as_monodromy()
     complex_ = build_stalk_complex(monodromy, mode)
@@ -605,6 +617,7 @@ def _cmd_stalk_cohomology(args: argparse.Namespace) -> dict:
 
 def _cmd_oracle_compare(args: argparse.Namespace) -> dict:
     from .dbar import integrability_oracle
+    from .l2verdict import classify_l2
 
     if args.l_min > args.l_max:
         raise CliError(EXIT_INVALID_INPUT, "invalid-input", "empty weight range")
@@ -644,6 +657,8 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> dict:
 
 def _cmd_end_check(args: argparse.Namespace) -> dict:
     datum = _load_datum(args.datum)
+    from .l2complex import theta_image_check
+
     rep = theta_image_check(datum.as_monodromy())
     entries = {}
     for index, entry in rep["entries"].items():
@@ -822,6 +837,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _loaded_errors(table: dict[str, tuple[str, ...]]) -> tuple[type, ...]:
+    """The classes named in ``table`` whose modules are loaded."""
+    classes = []
+    for mod, names in table.items():
+        module = sys.modules.get(f"{__package__}.{mod}")
+        if module is not None:
+            classes.extend(getattr(module, name) for name in names)
+    return tuple(classes)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -829,17 +854,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         report = args.func(args)
     except CliError as exc:
         return _fail(exc.code, exc.kind, str(exc))
-    except (NonCommuting, NotNilpotent, NonPositiveCoefficient, NotHorizontal,
-            NotIsometric, NoSolution, WrongKind, NotAHodgeFiltration, NotPolarized) as exc:
-        return _fail(EXIT_PRECONDITION, "precondition-violated", str(exc))
-    except (AxiomFailure, DecompositionError, AnticommutationFailure,
-            IllFormedComplex, AssertionError) as exc:
-        return _fail(EXIT_INTERNAL, "internal-invariant-failure", str(exc))
-    except OSError as exc:
-        return _fail(EXIT_INVALID_INPUT, "invalid-input", str(exc))
-    except (ValueError, KeyError, TypeError) as exc:
-        return _fail(EXIT_INVALID_INPUT, "invalid-input", str(exc))
     except Exception as exc:  # noqa: BLE001 - contract: never a bare traceback
+        if isinstance(exc, _loaded_errors(_PRECONDITION_ERRORS)):
+            return _fail(EXIT_PRECONDITION, "precondition-violated", str(exc))
+        if isinstance(exc, (AssertionError, *_loaded_errors(_INTERNAL_ERRORS))):
+            return _fail(EXIT_INTERNAL, "internal-invariant-failure", str(exc))
+        if isinstance(exc, (OSError, ValueError, KeyError, TypeError)):
+            return _fail(EXIT_INVALID_INPUT, "invalid-input", str(exc))
         return _fail(EXIT_INTERNAL, "internal-invariant-failure", f"{type(exc).__name__}: {exc}")
     _emit(report, args.format)
     return 0

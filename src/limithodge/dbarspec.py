@@ -182,12 +182,19 @@ class CaseSpec:
     modes: tuple[ModeSpec, ...]
 
 
+def _integer(key: str, value: object) -> int:
+    """A JSON integer field: an int that is not a bool; a float or a string is rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _mode_index(entry: Mapping, key: str, bound: float) -> int:
     """A mode index whose path weights r^(+-(|index|+1)) have exponents within bound."""
-    try:
-        index = int(entry[key])
-    except OverflowError:
-        raise ValueError(f"{key} must be finite, got {entry[key]!r}") from None
+    value = entry[key]
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    index = _integer(key, value)
     if abs(index) + 1 > bound:
         raise ValueError(f"{key} must satisfy |{key}| + 1 <= {bound:.6g} on this grid, got {index}")
     return index
@@ -212,19 +219,20 @@ def parse_case(data: Mapping) -> CaseSpec:
     modes, each with m, n, a profile tag ("bump" or "poly"), its params,
     and for degree-1 data a component tag 1 or 2.  Bump params: center and
     nonzero width in log-radius units plus amplitude; poly params: powers
-    and amplitude; every number finite.  Mode indices and powers are
-    bounded by ``MAX_LOG_POWER`` over the grid's log-depth.  Raises
+    and amplitude; every number finite.  m, n, degree, points and component
+    must be JSON integers, not floats, strings or booleans.  Mode indices
+    and powers are bounded by ``MAX_LOG_POWER`` over the grid's log-depth.  Raises
     ValueError, KeyError or TypeError on any malformed entry, so sampling
     the result cannot fail.
     """
     k = _finite(data, "k")
     l = _finite(data, "l")
-    degree = int(data.get("degree", 1))
+    degree = _integer("degree", data.get("degree", 1))
     kwargs = {}
     if "A" in data:
         kwargs["a"] = _finite(data, "A")
     if "points" in data:
-        kwargs["n"] = int(data["points"])
+        kwargs["n"] = _integer("points", data["points"])
         if kwargs["n"] > MAX_POINTS:
             raise ValueError(f"points must be at most {MAX_POINTS}, got {kwargs['n']}")
     grid = RadialGrid(**kwargs)
@@ -253,7 +261,7 @@ def parse_case(data: Mapping) -> CaseSpec:
         else:
             raise ValueError(f"unknown profile tag {tag!r}")
         amplitude = _finite(params, "amplitude") if "amplitude" in params else 1.0
-        slot = int(entry.get("component", 1)) - 1
+        slot = _integer("component", entry.get("component", 1)) - 1
         if not 0 <= slot < count:
             raise ValueError(f"component {slot + 1} not valid for degree {degree}")
         modes.append(ModeSpec(m, n, slot, tag, (*shape, amplitude)))

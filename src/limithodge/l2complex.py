@@ -1,9 +1,8 @@
 """Finite local models of the L² holomorphic Dolbeault complex at the corner.
 
 The objects here live at the intersection of the two boundary divisors of
-the bidisc: a commuting pair of nilpotent monodromy logarithms, the
-square-integrability classifier for monodromized sections against the
-Poincaré-type metric, and the resulting three-term complex
+the bidisc: a commuting pair of nilpotent monodromy logarithms and the
+three-term complex
 
     K⁰ --(N₁, N₂)--> K¹_dt₁ ⊕ K¹_dt₂ --(N₂, -N₁)--> K²
 
@@ -12,14 +11,8 @@ A polynomial truncation of the global sections over the bidisc serves as
 an independent oracle, and a small double-complex engine handles the
 Čech-style patching used in the comparison tests.
 
-Square-integrability is decided per direction.  A generator carrying
-t₁ⁿ¹t₂ⁿ²  with weight-filtration levels (l₁, l₂) — l₁ against W(N₁),
-l₂ against the total filtration W(N₁+N₂) — is L² on the region D_ε iff
-
-    (n₁ ≥ 1  or  l₁ ≤ -2·[1 ∈ J])  and  (n₂ ≥ 1  or  l₂-l₁ ≤ -2·[2 ∈ J])
-
-where J records which dt_i/t_i factors the form carries.  On the mirror
-region D′_ε the roles of the two directions swap.
+The complex is spanned by the generators that the square-integrability
+classifier of ``l2verdict`` passes; ``classify_l2`` is re-exported here.
 """
 
 from __future__ import annotations
@@ -44,7 +37,8 @@ from .exactla import (
     vstack,
 )
 from .growth import _weight_filtration, minimal_weight
-from .sl2rep import Model, alpha_basis, isotypic_decomposition
+from .l2verdict import classify_l2, directional, swap_component  # noqa: F401 (re-export)
+from .sl2rep import Model, alpha_basis, build_model, isotypic_decomposition
 from .weightfilt import commuting_check, nilpotency_check
 
 LOCAL_SYSTEM = "local_system"
@@ -110,79 +104,6 @@ class MonodromyDatum:
 
 
 # ----------------------------------------------------------------------
-# the classifier
-
-
-@dataclass(frozen=True)
-class L2Verdict:
-    """Outcome of the direction-by-direction integrability test."""
-
-    component: frozenset[int]
-    t_orders: tuple[int, int]
-    weights: tuple[int, int]
-    is_l2_d_eps: bool
-    is_l2_d_eps_prime: bool
-    is_l2: bool
-
-    @property
-    def orderings_disagree(self) -> bool:
-        """True when the two regional orderings give different answers.
-
-        Such generators are exactly the ones whose global status is
-        decided by the overlap of the two regions rather than by either
-        chart alone.
-        """
-        return self.is_l2_d_eps != self.is_l2_d_eps_prime
-
-    def to_json(self) -> dict:
-        return {
-            "component": sorted(self.component),
-            "t_orders": list(self.t_orders),
-            "weights": list(self.weights),
-            "is_l2_d_eps": self.is_l2_d_eps,
-            "is_l2_d_eps_prime": self.is_l2_d_eps_prime,
-            "is_l2": self.is_l2,
-        }
-
-
-def _directional(component: frozenset[int], n1: int, n2: int, l1: int, l2: int) -> bool:
-    """The D_ε test: first direction reads l₁, second the offset l₂-l₁."""
-    first = n1 >= 1 or l1 <= (-2 if 1 in component else 0)
-    second = n2 >= 1 or l2 - l1 <= (-2 if 2 in component else 0)
-    return first and second
-
-
-def _swap_component(component: frozenset[int]) -> frozenset[int]:
-    return frozenset(3 - i for i in component)
-
-
-def classify_l2(component, n1: int, n2: int, l1: int, l2: int) -> L2Verdict:
-    """Decide square-integrability of t₁^{n₁}t₂^{n₂}·v on both regions.
-
-    ``component`` is the subset of {1, 2} of dt_i/t_i factors carried by
-    the form; ``(l1, l2)`` are the centered weight-filtration levels of v
-    for the ordering of the region D_ε.  The D′_ε verdict applies the same
-    test to the formally swapped input, and the global verdict is the
-    conjunction.  Raises on negative t-orders.
-    """
-    J = frozenset(component)
-    if not J <= {1, 2}:
-        raise ValueError(f"component must be a subset of {{1, 2}}, got {sorted(J)}")
-    if n1 < 0 or n2 < 0:
-        raise ValueError(f"negative t-orders ({n1}, {n2})")
-    d_eps = _directional(J, n1, n2, l1, l2)
-    d_eps_prime = _directional(_swap_component(J), n2, n1, l2, l1)
-    return L2Verdict(
-        component=J,
-        t_orders=(n1, n2),
-        weights=(l1, l2),
-        is_l2_d_eps=d_eps,
-        is_l2_d_eps_prime=d_eps_prime,
-        is_l2=d_eps and d_eps_prime,
-    )
-
-
-# ----------------------------------------------------------------------
 # doubly graded pieces of (W(N1), W(N1+N2))
 
 
@@ -204,7 +125,7 @@ def _span_passing(
     n2: int = 0,
 ) -> Subspace:
     """Span of the generators that t₁^{n₁}t₂^{n₂} makes L² on D_ε."""
-    cols = [v for v, l1, l2 in generators if _directional(component, n1, n2, l1, l2)]
+    cols = [v for v, l1, l2 in generators if directional(component, n1, n2, l1, l2)]
     return Subspace.from_columns(dim, cols)
 
 
@@ -431,8 +352,8 @@ def theta_image_check(datum: MonodromyDatum) -> dict:
         lt = minimal_weight(vec, fil_total)
         l1_swapped = minimal_weight(vec, fil_second)
         J = frozenset({index})
-        d_eps = _directional(J, 0, 0, l1, lt)
-        d_eps_prime = _directional(_swap_component(J), 0, 0, l1_swapped, lt)
+        d_eps = directional(J, 0, 0, l1, lt)
+        d_eps_prime = directional(swap_component(J), 0, 0, l1_swapped, lt)
         own = fil_first if index == 1 else fil_second
         report["entries"][index] = {
             "zero": False,
@@ -564,18 +485,23 @@ def two_chart_cover(c: StalkComplex) -> DoubleComplex:
 # the shared test corpus
 
 
+# label -> (m, n) of the split model S(m)⊗S(n), and the End data with their base labels
+_CORPUS_MODELS = {"trivial": (0, 0), "jordan2-t1": (1, 0), "jordan2-t2": (0, 1),
+                  "s11": (1, 1), "s21": (2, 1)}
+_CORPUS_END = {f"End({base})": base for base in ("jordan2-t1", "s11")}
+
+
+def corpus_entry(label: str) -> MonodromyDatum | None:
+    """The corpus datum with this label, built alone, or None if there is none."""
+    if label in _CORPUS_MODELS:
+        return MonodromyDatum.from_model(build_model("S", *_CORPUS_MODELS[label]), label=label)
+    if label in _CORPUS_END:
+        return end_datum(corpus_entry(_CORPUS_END[label]))
+    return None
+
+
 def standard_corpus(include_end: bool = True) -> list[MonodromyDatum]:
     """The documented exercise set: split models plus their End data."""
-    from .sl2rep import build_model
-
-    data = [
-        MonodromyDatum.from_model(build_model("S", 0, 0), label="trivial"),
-        MonodromyDatum.from_model(build_model("S", 1, 0), label="jordan2-t1"),
-        MonodromyDatum.from_model(build_model("S", 0, 1), label="jordan2-t2"),
-        MonodromyDatum.from_model(build_model("S", 1, 1), label="s11"),
-        MonodromyDatum.from_model(build_model("S", 2, 1), label="s21"),
-    ]
-    if include_end:
-        data.append(end_datum(data[1]))
-        data.append(end_datum(data[3]))
-    return data
+    data = {label: corpus_entry(label) for label in _CORPUS_MODELS}
+    ends = [end_datum(data[base]) for base in _CORPUS_END.values()] if include_end else []
+    return [*data.values(), *ends]

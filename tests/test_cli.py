@@ -422,31 +422,57 @@ def test_dbar_solve_non_object_params_exits_2(tmp_path, capsys):
     assert "must be an object" in error["message"]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m", 1.7), ("m", "2"), ("n", True), ("component", 2.0), ("degree", 1.0),
+    ("points", "256"),
+])
+def test_dbar_solve_integer_fields_must_be_json_integers(tmp_path, capsys, field, value):
+    mode = {"m": 0, "n": 0, "component": 2, "profile": "poly", "params": {}}
+    payload = {"k": 0.5, "l": 0.5, "modes": [mode]}
+    (payload if field in ("degree", "points") else mode)[field] = value
+    config = _write_json(tmp_path / "config.json", payload)
+    code, error = _run_error(["dbar-solve", config], capsys)
+    assert code == 2
+    assert f"{field} must be an integer, got {value!r}" in error["message"]
+
+
+@pytest.mark.parametrize("payload, field, value", [
+    ({"model": {"kind": "S", "m": 1.7}}, "m", 1.7),
+    ({"model": {"kind": "S", "n": "1"}}, "n", "1"),
+    ({"model": {"kind": "H", "l": True}}, "l", True),
+    ({"model": {"sum": [{"kind": "E", "p": 1.0}]}}, "p", 1.0),
+    ({"model": {"kind": "E", "p": 1, "q": "0"}}, "q", "0"),
+    ({"model": {"kind": "S", "m": 1}, "weight": 1.5}, "weight", 1.5),
+    ({"dimension": 2.0, "N1": [[0, 1], [0, 0]], "N2": [[0, 0], [0, 0]]}, "dimension", 2.0),
+    ({"dimension": 2, "weight": "1", "N1": [[0, 1], [0, 0]], "N2": [[0, 0], [0, 0]]},
+     "weight", "1"),
+])
+def test_datum_integer_fields_must_be_json_integers(tmp_path, capsys, payload, field, value):
+    path = _write_json(tmp_path / "datum.json", payload)
+    code, error = _run_error(["weight-filtration", path], capsys)
+    assert code == 2
+    assert f"{field} must be an integer, got {value!r}" in error["message"]
+
+
 def _subprocess_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(limithodge.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
 
 
 def _cli_in_subprocess(argv):
-    """Exit code of the CLI in a fresh interpreter, and whether numpy got loaded."""
-    probe = ("import sys\nfrom limithodge.cli import main\ncode = main(sys.argv[1:])\n"
-             "print(code, 'numpy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe, *argv], env=_subprocess_env(),
-                         capture_output=True, text=True, check=True).stdout
-    code, loaded = out.splitlines()[-1].split()
-    return int(code), loaded == "True"
-
-
-def test_solving_dbar_commands_leave_scipy_unloaded():
-    probe = ("import sys\nfrom limithodge.cli import main\ncode = main(sys.argv[1:])\n"
-             "print(code, 'limithodge.dbar' in sys.modules,"
-             " [m for m in sys.modules if m.partition('.')[0] == 'scipy'])")
-    for argv in (["dbar-solve", str(CONFIGS / "solve-corner.json")],
-                 ["oracle-compare", "--l-min", "-1", "--l-max", "0", "--n-max", "0",
-                  "--jobs", "1"]):
-        out = subprocess.run([sys.executable, "-c", probe, *argv], env=_subprocess_env(),
-                             capture_output=True, text=True, check=True).stdout
-        assert out.splitlines()[-1] == "0 True []", argv
+    """The CLI in a fresh interpreter: its exit code, the ``limithodge.*`` modules
+    it loaded (names after the dot, sorted, space-separated), whether numpy and
+    scipy got loaded, and its error object (None on success)."""
+    probe = ("import json, sys\nfrom limithodge.cli import main\ncode = main(sys.argv[1:])\n"
+             "mods = sorted(m.partition('.')[2] for m in sys.modules"
+             " if m.startswith('limithodge.'))\n"
+             "print(json.dumps([code, ' '.join(mods), 'numpy' in sys.modules,"
+             " any(m.partition('.')[0] == 'scipy' for m in sys.modules)]))")
+    run = subprocess.run([sys.executable, "-c", probe, *argv], env=_subprocess_env(),
+                         capture_output=True, text=True, check=True)
+    code, modules, numpy_loaded, scipy_loaded = json.loads(run.stdout.splitlines()[-1])
+    error = json.loads(run.stderr.splitlines()[-1])["error"] if code else None
+    return code, modules, numpy_loaded, scipy_loaded, error
 
 
 _NAN_AMPLITUDE = {"k": 0.5, "l": 0.5, "modes": [
@@ -458,25 +484,78 @@ def _poly_mode(m, powers):
         {"m": m, "n": 0, "component": 2, "profile": "poly", "params": {"powers": powers}}]}
 
 
-@pytest.mark.parametrize("argv, code, loaded", [
-    (["dbar-region", "--p", "0", "--q", "1", "--k", "0.5", "--l", "2"], 0, False),
-    (["dbar-region", "--p", "0", "--q", "1", "--k", "nan"], 2, False),
-    (["dbar-solve", str(CONFIGS / "exit2-k-nan.json")], 2, False),
-    (["dbar-solve", str(CONFIGS / "exit2-degree-0.json")], 2, False),
-    (["dbar-solve", str(CONFIGS / "exit2-excluded-malformed-powers.json")], 2, False),
-    (["dbar-solve", str(CONFIGS / "exit4-excluded.json")], 4, False),
-    (["dbar-solve", _NAN_AMPLITUDE], 2, False),
-    (["dbar-solve", _poly_mode(100000, [0, 0])], 2, False),
-    (["dbar-solve", _poly_mode(-100000, [0, 0])], 2, False),
-    (["dbar-solve", _poly_mode(0, [0, 1000])], 2, False),
-    (["dbar-solve", str(CONFIGS / "solve-corner.json")], 0, True),
+_RAW_PAIR = {"dimension": 3, "N1": [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+             "N2": [[0, 0, 1], [0, 0, 0], [0, 0, 0]]}
+_NON_COMMUTING = {"dimension": 2, "N1": [[0, 1], [0, 0]], "N2": [[0, 0], [2, 0]]}
+# The transport of perfbench's cli-batch that makes the local-system stalk
+# complex of S(2)(x)S(1) ill-formed.
+_DEFECT_TRANSPORT = [[1, -1, -2, -4, 0, -2], [-1, 2, 0, 0, -1, 0], [0, 0, 1, 2, 0, 0],
+                     [-2, 2, 0, 1, -2, 0], [2, -2, -2, -4, 1, -2], [0, 0, 1, 2, 0, 1]]
+
+# the limithodge modules a subcommand may load, after the cli itself
+_DBAR = "cli dbarspec"
+_RAW = "cli exactla serialize weightfilt"
+_MODEL = "cli exactla serialize sl2rep"
+_L2 = "cli exactla growth l2complex l2verdict serialize sl2rep weightfilt"
+_BUILTIN = "cli exactla growth l2complex l2verdict sl2rep weightfilt"
+
+
+def _model(spec):
+    return {"model": spec}
+
+
+@pytest.mark.parametrize("argv, code, modules, numpy_loaded", [
+    (["dbar-region", "--p", "0", "--q", "1", "--k", "0.5", "--l", "2"], 0, _DBAR, False),
+    (["dbar-region", "--p", "0", "--q", "1", "--k", "nan"], 2, _DBAR, False),
+    (["dbar-solve", str(CONFIGS / "exit2-k-nan.json")], 2, _DBAR, False),
+    (["dbar-solve", str(CONFIGS / "exit2-degree-0.json")], 2, _DBAR, False),
+    (["dbar-solve", str(CONFIGS / "exit2-excluded-malformed-powers.json")], 2, _DBAR, False),
+    (["dbar-solve", str(CONFIGS / "exit4-excluded.json")], 4, _DBAR, False),
+    (["dbar-solve", _NAN_AMPLITUDE], 2, _DBAR, False),
+    (["dbar-solve", _poly_mode(100000, [0, 0])], 2, _DBAR, False),
+    (["dbar-solve", _poly_mode(-100000, [0, 0])], 2, _DBAR, False),
+    (["dbar-solve", _poly_mode(0, [0, 1000])], 2, _DBAR, False),
+    (["dbar-solve", str(CONFIGS / "solve-corner.json")], 0, "cli dbar dbarspec exactla", True),
+    (["oracle-compare", "--l-min", "-1", "--l-max", "0", "--n-max", "0", "--jobs", "1"], 0,
+     "cli dbar dbarspec exactla l2verdict", True),
+    (["l2-classify", "--l1", "0", "--l2", "-2"], 0, "cli l2verdict", False),
+    (["weight-filtration", _RAW_PAIR], 0, _RAW, False),
+    (["cone-check", _RAW_PAIR, "--samples", "2"], 0, _RAW, False),
+    (["weight-filtration", _NON_COMMUTING], 3, _RAW, False),
+    (["decompose", b'{"model": {"kind": "S", "m": '], 2, "cli", False),
+    (["decompose", _model({"kind": "S", "m": 1, "n": 1})], 0, _MODEL, False),
+    (["alpha-basis", _model({"kind": "S", "m": 2})], 0, _MODEL, False),
+    (["mhs-check", _model({"kind": "H", "l": 1, "m": 1})], 0,
+     "cli exactla hodgestruct serialize sl2rep weightfilt", False),
+    (["norm-class", "s11"], 0, _BUILTIN, False),
+    (["theta-bound", _model({"kind": "S", "m": 1, "n": 1})], 0,
+     "cli exactla growth serialize sl2rep weightfilt", False),
+    (["stalk-cohomology", _model({"kind": "S", "m": 1, "n": 1}), "--truncation-degree", "1"],
+     0, _L2, False),
+    # pins a known defect: the local-system stalk complex of this transported
+    # model is ill-formed, which the CLI reports as an internal failure (exit 5)
+    (["stalk-cohomology", _model({"kind": "S", "m": 2, "n": 1, "transport": _DEFECT_TRANSPORT})],
+     5, _L2, False),
+    (["end-check", "jordan2-t1"], 0, _BUILTIN, False),
 ], ids=["region", "region-nan", "k-nan", "degree-0", "excluded-malformed", "excluded",
-        "amplitude-nan", "m-huge", "m-huge-negative", "power-huge", "solve"])
-def test_dbar_commands_load_numpy_only_to_solve(tmp_path, argv, code, loaded):
-    # a dict stands for a config written on the fly, outside the golden dbar_configs/
-    argv = [_write_json(tmp_path / "config.json", a) if isinstance(a, dict) else a
-            for a in argv]
-    assert _cli_in_subprocess(argv) == (code, loaded)
+        "amplitude-nan", "m-huge", "m-huge-negative", "power-huge", "solve", "oracle-compare",
+        "l2-classify", "weight-filtration", "cone-check", "exit3-noncommuting",
+        "unparseable", "decompose", "alpha-basis", "mhs-check", "norm-class", "theta-bound",
+        "stalk-cohomology", "exit5-ill-formed-known-defect", "end-check"])
+def test_dbar_commands_load_numpy_only_to_solve(tmp_path, argv, code, modules, numpy_loaded):
+    """Each subcommand loads only the modules it runs; numpy only to solve, scipy never."""
+    # a dict or bytes stands for a file written on the fly, outside the golden dbar_configs/
+    path = tmp_path / "input.json"
+    for a in argv:
+        if isinstance(a, (dict, bytes)):
+            path.write_bytes(a if isinstance(a, bytes) else json.dumps(a).encode())
+    argv = [str(path) if isinstance(a, (dict, bytes)) else a for a in argv]
+    got_code, got_modules, got_numpy, got_scipy, error = _cli_in_subprocess(argv)
+    assert (got_code, got_modules, got_numpy, got_scipy) == (code, modules, numpy_loaded, False)
+    if code:
+        assert error["code"] == code
+    if code == 5:
+        assert "differential leaves" in error["message"]
 
 
 def test_oversized_dbar_grid_exits_2_before_numpy_loads(tmp_path, capsys):
@@ -485,7 +564,7 @@ def test_oversized_dbar_grid_exits_2_before_numpy_loads(tmp_path, capsys):
         {"k": 0.5, "l": 0.5, "points": 100000000, "modes": [
             {"m": 0, "n": 0, "component": 2, "profile": "poly", "params": {}}]},
     )
-    assert _cli_in_subprocess(["dbar-solve", config]) == (2, False)
+    assert _cli_in_subprocess(["dbar-solve", config])[:4] == (2, _DBAR, False, False)
     _, error = _run_error(["dbar-solve", config], capsys)
     assert "points must be at most 2048" in error["message"]
 

@@ -16,6 +16,7 @@ from limithodge.l2complex import (
     StalkComplex,
     build_stalk_complex,
     classify_l2,
+    corpus_entry,
     end_datum,
     hypercohomology,
     koszul_cohomology,
@@ -328,3 +329,10 @@ def test_corpus_labels_are_stable():
     labels = [d.label for d in standard_corpus()]
     assert labels == ["trivial", "jordan2-t1", "jordan2-t2", "s11", "s21",
                       "End(jordan2-t1)", "End(s11)"]
+
+
+def test_corpus_entry_builds_the_labelled_datum_alone():
+    for datum in standard_corpus():
+        assert corpus_entry(datum.label) == datum
+    assert corpus_entry("End(trivial)") is None
+    assert corpus_entry("no-such-label") is None
