@@ -19,12 +19,14 @@ process loads only what its subcommand uses:
   as solving, and for ``oracle-compare``;
 - ``l2-classify`` loads ``l2verdict`` only, with no exact algebra;
 - an unreadable or unparseable datum file loads nothing more;
-- loading a raw ``N1``/``N2`` datum takes ``exactla``, ``serialize`` and
-  ``weightfilt``, and a model spec ``sl2rep`` in place of ``weightfilt``;
-  a built-in label loads ``l2complex``, which holds the corpus.
+- loading a datum takes ``datum`` (which validates it), ``exactla`` and
+  ``weightfilt``, plus ``serialize`` for a file and ``sl2rep`` for a model
+  spec or a built-in label; a name that is neither a file nor a label loads
+  no more than ``datum`` does before it exits 2.
 
-``main`` maps the library's errors to exit codes 3 and 5 by looking their
-classes up among the loaded modules, as an error can only come from one.
+Every library error is a ``limithodge.LimithodgeError``, which carries its
+exit code and kind, so ``main`` needs to know none of the modules that
+raise them.
 
 Input files with monodromy data follow one schema::
 
@@ -35,6 +37,10 @@ Input files with monodromy data follow one schema::
      "model": {"kind": "S", "m": 1, "n": 0}, # optional bigraded model spec
      "vectors": [[...], ...],                # optional section list
      "hodge_numbers": [...], "labels": [...]}
+
+Every datum is loaded as a ``datum.MonodromyDatum``, so both logarithms must be
+nilpotent and commute, and ``F`` and ``S`` must have its dimension; ``labels``
+must be a list of strings and is not read further.
 
 A bare name is looked up in the directory named by LIMITHODGE_CORPUS and
 then among the built-in corpus labels (``trivial``, ``jordan2-t1``, ...).
@@ -49,98 +55,30 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
+
+from . import InternalInvariantFailure, LimithodgeError, PreconditionViolated
 
 if TYPE_CHECKING:
-    from .exactla import ExactMatrix, Filtration
-    from .l2complex import MonodromyDatum
+    from .datum import MonodromyDatum
     from .sl2rep import Model
-
-EXIT_INVALID_INPUT = 2
-EXIT_PRECONDITION = 3
-EXIT_EXCLUDED_EXPONENT = 4
-EXIT_INTERNAL = 5
 
 _REGION_FLAGS = ("d-eps", "d-eps-prime", "global")
 
-# Library errors that map to exit codes 3 and 5, by module.  An exception
-# can only come from a module that is loaded, so ``main`` looks the classes
-# up in ``sys.modules`` instead of importing every module to name them.
-_PRECONDITION_ERRORS = {
-    "weightfilt": ("NonCommuting", "NotNilpotent", "NonPositiveCoefficient"),
-    "sl2rep": ("NotHorizontal", "NotIsometric", "NoSolution", "WrongKind"),
-    "hodgestruct": ("NotAHodgeFiltration", "NotPolarized"),
-}
-_INTERNAL_ERRORS = {
-    "weightfilt": ("AxiomFailure",),
-    "sl2rep": ("DecompositionError",),
-    "l2complex": ("AnticommutationFailure", "IllFormedComplex"),
-}
 
+class CliError(LimithodgeError):
+    """Input the front door cannot read (exit 2)."""
 
-class CliError(Exception):
-    """An error with a fixed exit code and a structured message."""
-
-    def __init__(self, code: int, kind: str, message: str):
-        super().__init__(message)
-        self.code = code
-        self.kind = kind
-
-
-def _dbar_errors(command: Callable[[argparse.Namespace], dict],
-                 ) -> Callable[[argparse.Namespace], dict]:
-    """A subcommand with the dbar layer's errors mapped to exit codes."""
-
-    def run(args: argparse.Namespace) -> dict:
-        from .dbarspec import DivergentNorm, ExcludedExponent, IncompatibleInput
-
-        try:
-            return command(args)
-        except ExcludedExponent as exc:
-            raise CliError(EXIT_EXCLUDED_EXPONENT, "excluded-exponent", str(exc)) from exc
-        except (IncompatibleInput, DivergentNorm) as exc:
-            raise CliError(EXIT_PRECONDITION, "precondition-violated", str(exc)) from exc
-
-    return run
+    code = 2
+    kind = "invalid-input"
 
 
 # ----------------------------------------------------------------------
 # input resolution
 
 
-@dataclass
-class LoadedDatum:
-    """A datum file (or built-in corpus entry) after validation."""
-
-    name: str
-    digest: str
-    dimension: int
-    weight: int
-    n1: ExactMatrix
-    n2: ExactMatrix
-    hodge: Filtration | None = None
-    polarization: ExactMatrix | None = None
-    model: Model | None = None
-    vectors: list[tuple] | None = None
-    labels: list[str] | None = None
-
-    def as_monodromy(self) -> MonodromyDatum:
-        from .l2complex import MonodromyDatum
-
-        return MonodromyDatum(
-            weight=self.weight,
-            n1=self.n1,
-            n2=self.n2,
-            hodge=self.hodge,
-            polarization=self.polarization,
-            model=self.model,
-            label=self.name,
-        )
-
-
-def _read_payload(arg: str) -> tuple[dict | None, str, MonodromyDatum | None]:
-    """Resolve a positional datum argument to (payload, digest, builtin)."""
+def _read_payload(arg: str) -> tuple[dict | None, str]:
+    """A datum argument's file as (payload, digest); (None, "") when no file has that name."""
     path = arg
     if not os.path.exists(path) and os.sep not in arg:
         base = os.environ.get("LIMITHODGE_CORPUS")
@@ -149,26 +87,17 @@ def _read_payload(arg: str) -> tuple[dict | None, str, MonodromyDatum | None]:
                 if os.path.exists(cand):
                     path = cand
                     break
-    if os.path.exists(path):
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        digest = hashlib.sha256(raw).hexdigest()[:16]
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CliError(EXIT_INVALID_INPUT, "invalid-input", f"{arg}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise CliError(EXIT_INVALID_INPUT, "invalid-input",
-                           f"{arg}: top-level JSON value must be an object")
-        return payload, digest, None
-    from .l2complex import corpus_entry
-
-    builtin = corpus_entry(arg)
-    if builtin is not None:
-        digest = hashlib.sha256(f"corpus:{arg}".encode()).hexdigest()[:16]
-        return None, digest, builtin
-    raise CliError(EXIT_INVALID_INPUT, "invalid-input",
-                   f"no such file or corpus entry: {arg}")
+    if not os.path.exists(path):
+        return None, ""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CliError(f"{arg}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CliError(f"{arg}: top-level JSON value must be an object")
+    return payload, hashlib.sha256(raw).hexdigest()[:16]
 
 
 def _integer(key: str, value: Any) -> int:
@@ -189,7 +118,7 @@ def _model_from_spec(spec: Any) -> Model:
     from .sl2rep import build_model, direct_sum_models, transport_model
 
     if not isinstance(spec, dict):
-        raise CliError(EXIT_INVALID_INPUT, "invalid-input", "model spec must be an object")
+        raise CliError("model spec must be an object")
     try:
         if "sum" in spec:
             model = direct_sum_models([_model_from_spec(s) for s in spec["sum"]])
@@ -198,36 +127,26 @@ def _model_from_spec(spec: Any) -> Model:
                                 **{key: _integer(key, spec.get(key, 0)) for key in "mnlpq"})
         if "transport" in spec:
             model = transport_model(model, matrix_from_json(spec["transport"]))
-    except CliError:
-        raise
     except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(EXIT_INVALID_INPUT, "invalid-input", f"bad model spec: {exc}") from exc
+        raise CliError(f"bad model spec: {exc}") from exc
     return model
 
 
-def _load_datum(arg: str) -> LoadedDatum:
-    payload, digest, builtin = _read_payload(arg)
-    if builtin is not None:
-        return LoadedDatum(
-            name=builtin.label,
-            digest=digest,
-            dimension=builtin.dimension,
-            weight=builtin.weight,
-            n1=builtin.n1,
-            n2=builtin.n2,
-            hodge=builtin.hodge,
-            polarization=builtin.polarization,
-            model=builtin.model,
-            labels=list(builtin.model.labels) if builtin.model else None,
-        )
-    assert payload is not None
+def _load_datum(arg: str) -> tuple[MonodromyDatum, str, list[tuple] | None]:
+    """A datum file or built-in label as (datum labelled ``arg``, digest, ``vectors``)."""
+    payload, digest = _read_payload(arg)
+    from .datum import MonodromyDatum, corpus_entry
+
+    if payload is None:
+        builtin = corpus_entry(arg)
+        if builtin is None:
+            raise CliError(f"no such file or corpus entry: {arg}")
+        return builtin, hashlib.sha256(f"corpus:{arg}".encode()).hexdigest()[:16], None
     from .serialize import filtration_from_json, matrix_from_json, vector_from_json
 
     model = _model_from_spec(payload["model"]) if "model" in payload else None
-    # a model's N1, N2 commute by construction (Sl2PairAction checks it)
-    from_model = model is not None and ("N1" not in payload or "N2" not in payload)
     try:
-        if from_model:
+        if model is not None and ("N1" not in payload or "N2" not in payload):
             n1, n2 = model.action.nminus
             dim = model.dim
             weight = _integer("weight", payload.get("weight", model.weight))
@@ -240,32 +159,15 @@ def _load_datum(arg: str) -> LoadedDatum:
         pol = matrix_from_json(payload["S"]) if "S" in payload else None
         vectors = ([vector_from_json(v) for v in payload["vectors"]]
                    if "vectors" in payload else None)
-        labels = list(payload["labels"]) if "labels" in payload else None
-    except CliError:
-        raise
+        labels = payload.get("labels", [])
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise ValueError(f"labels must be a list of strings, got {labels!r}")
     except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(EXIT_INVALID_INPUT, "invalid-input", f"{arg}: {exc}") from exc
+        raise CliError(f"{arg}: {exc}") from exc
     for label, mat in (("N1", n1), ("N2", n2)):
         if mat.rows != dim or mat.cols != dim:
-            raise CliError(EXIT_INVALID_INPUT, "invalid-input",
-                           f"{arg}: {label} is not square of dimension {dim}")
-    if not from_model:
-        from .weightfilt import commuting_check
-
-        commuting_check([n1, n2])
-    return LoadedDatum(
-        name=arg,
-        digest=digest,
-        dimension=dim,
-        weight=weight,
-        n1=n1,
-        n2=n2,
-        hodge=hodge,
-        polarization=pol,
-        model=model,
-        vectors=vectors,
-        labels=labels,
-    )
+            raise CliError(f"{arg}: {label} is not square of dimension {dim}")
+    return MonodromyDatum(weight, n1, n2, hodge, pol, model, label=arg), digest, vectors
 
 
 def _param_digest(**params: Any) -> str:
@@ -349,17 +251,19 @@ def _emit(report: dict, fmt: str) -> None:
         sys.stdout.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _fail(code: int, kind: str, message: str) -> int:
-    sys.stderr.write(json.dumps({"error": {"code": code, "kind": kind, "message": message}},
-                                sort_keys=True) + "\n")
-    return code
+def _fail(error: LimithodgeError | type[LimithodgeError], message: str) -> int:
+    """Write the error object of ``error``'s code and kind on stderr; return the code."""
+    sys.stderr.write(json.dumps({"error": {"code": error.code, "kind": error.kind,
+                                           "message": message}}, sort_keys=True) + "\n")
+    return error.code
 
 
 # ----------------------------------------------------------------------
 # sections shared by norm-class and theta-bound
 
 
-def _sections_for(datum: LoadedDatum) -> list[tuple[str, tuple]]:
+def _sections_for(datum: MonodromyDatum, vectors: list[tuple] | None,
+                  ) -> list[tuple[str, tuple]]:
     """Labeled flat vectors: the alpha frame of a model, or explicit vectors."""
     if datum.model is not None:
         from .sl2rep import alpha_basis, isotypic_decomposition
@@ -375,13 +279,11 @@ def _sections_for(datum: LoadedDatum) -> list[tuple[str, tuple]]:
             for (k, l) in sorted(alphas):
                 out.append((f"{prefix}alpha[{k},{l}]", alphas[(k, l)]))
         if not out:
-            raise CliError(EXIT_PRECONDITION, "precondition-violated",
-                           "model has no symmetric factors to sample sections from")
+            raise PreconditionViolated("model has no symmetric factors to sample sections from")
         return out
-    if datum.vectors:
-        return [(f"v{i}", v) for i, v in enumerate(datum.vectors)]
-    raise CliError(EXIT_INVALID_INPUT, "invalid-input",
-                   "need a 'model' spec or a 'vectors' list to pick sections")
+    if vectors:
+        return [(f"v{i}", v) for i, v in enumerate(vectors)]
+    raise CliError("need a 'model' spec or a 'vectors' list to pick sections")
 
 
 def _regions(flag: str) -> list[tuple[str, str]]:
@@ -397,7 +299,7 @@ def _regions(flag: str) -> list[tuple[str, str]]:
 
 
 def _cmd_weight_filtration(args: argparse.Namespace) -> dict:
-    datum = _load_datum(args.datum)
+    datum, digest, _ = _load_datum(args.datum)
     from .serialize import vector_to_json
     from .weightfilt import monodromy_weight_filtration
 
@@ -417,22 +319,21 @@ def _cmd_weight_filtration(args: argparse.Namespace) -> dict:
             for l, sub in W.filtration.steps
         ],
     }
-    return _report("weight-filtration", datum.digest, results)
+    return _report("weight-filtration", digest, results)
 
 
 def _cmd_cone_check(args: argparse.Namespace) -> dict:
-    datum = _load_datum(args.datum)
+    datum, digest, _ = _load_datum(args.datum)
     from .weightfilt import cone_independence_report
 
     rep = cone_independence_report([datum.n1, datum.n2], samples=args.samples, seed=args.seed)
-    return _report("cone-check", datum.digest, rep)
+    return _report("cone-check", digest, rep)
 
 
 def _cmd_decompose(args: argparse.Namespace) -> dict:
-    datum = _load_datum(args.datum)
+    datum, digest, _ = _load_datum(args.datum)
     if datum.model is None:
-        raise CliError(EXIT_INVALID_INPUT, "invalid-input",
-                       "decompose needs a 'model' spec or a built-in corpus entry")
+        raise CliError("decompose needs a 'model' spec or a built-in corpus entry")
     from .sl2rep import isotypic_decomposition
 
     model = datum.model
@@ -444,7 +345,7 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
         "multiset": sorted(_factor_tag(f) for f in factors),
         "dims_sum_ok": sum(f.dim for f in factors) == model.dim,
     }
-    return _report("decompose", datum.digest, results)
+    return _report("decompose", digest, results)
 
 
 def _factor_tag(factor: Any) -> str:
@@ -456,10 +357,9 @@ def _factor_tag(factor: Any) -> str:
 
 
 def _cmd_alpha_basis(args: argparse.Namespace) -> dict:
-    datum = _load_datum(args.datum)
+    datum, digest, _ = _load_datum(args.datum)
     if datum.model is None:
-        raise CliError(EXIT_INVALID_INPUT, "invalid-input",
-                       "alpha-basis needs a 'model' spec or a built-in corpus entry")
+        raise CliError("alpha-basis needs a 'model' spec or a built-in corpus entry")
     from .serialize import vector_to_json
     from .sl2rep import alpha_basis, isotypic_decomposition
 
@@ -479,13 +379,12 @@ def _cmd_alpha_basis(args: argparse.Namespace) -> dict:
             "alphas": {f"{k},{l}": vector_to_json(v) for (k, l), v in sorted(alphas.items())},
         })
     if not reported:
-        raise CliError(EXIT_PRECONDITION, "precondition-violated",
-                       "no symmetric factors: nothing carries an alpha frame")
-    return _report("alpha-basis", datum.digest, {"factors": reported}, warns)
+        raise PreconditionViolated("no symmetric factors: nothing carries an alpha frame")
+    return _report("alpha-basis", digest, {"factors": reported}, warns)
 
 
 def _cmd_mhs_check(args: argparse.Namespace) -> dict:
-    datum = _load_datum(args.datum)
+    datum, digest, _ = _load_datum(args.datum)
     from .hodgestruct import MixedHodge, mhs_check, polarized_mhs_check, r_split_check
     from .weightfilt import monodromy_weight_filtration
 
@@ -494,8 +393,7 @@ def _cmd_mhs_check(args: argparse.Namespace) -> dict:
     elif datum.hodge is not None:
         F = datum.hodge
     else:
-        raise CliError(EXIT_INVALID_INPUT, "invalid-input",
-                       "mhs-check needs a Hodge filtration ('F' or a model)")
+        raise CliError("mhs-check needs a Hodge filtration ('F' or a model)")
     center = datum.weight if args.center is None else args.center
     total = datum.n1 + datum.n2
     W = monodromy_weight_filtration(total, center=center).filtration
@@ -510,14 +408,14 @@ def _cmd_mhs_check(args: argparse.Namespace) -> dict:
     }
     if datum.polarization is not None:
         results["polarized"] = polarized_mhs_check(mixed, total, datum.polarization, center)
-    return _report("mhs-check", datum.digest, results)
+    return _report("mhs-check", digest, results)
 
 
 def _cmd_norm_class(args: argparse.Namespace) -> dict:
-    datum = _load_datum(args.datum)
+    datum, digest, vectors = _load_datum(args.datum)
     from .growth import hodge_norm_class, section_from_datum
 
-    sections = _sections_for(datum)
+    sections = _sections_for(datum, vectors)
     entries = []
     for label, vec in sections:
         entry: dict = {"label": label}
@@ -528,15 +426,15 @@ def _cmd_norm_class(args: argparse.Namespace) -> dict:
             cls = hodge_norm_class(s, region)
             entry[key] = {"weights": list(s.weights), "class": cls.to_json()}
         entries.append(entry)
-    return _report("norm-class", datum.digest,
+    return _report("norm-class", digest,
                    {"region": args.region, "sections": entries})
 
 
 def _cmd_theta_bound(args: argparse.Namespace) -> dict:
-    datum = _load_datum(args.datum)
+    datum, digest, vectors = _load_datum(args.datum)
     from .growth import section_from_datum, theta_apply_class
 
-    sections = _sections_for(datum)
+    sections = _sections_for(datum, vectors)
     entries = []
     all_bounded = True
     for label, vec in sections:
@@ -555,7 +453,7 @@ def _cmd_theta_bound(args: argparse.Namespace) -> dict:
                     "form_class": tc.form_class.to_json(),
                     "source_class": tc.source_class.to_json(),
                 })
-    return _report("theta-bound", datum.digest,
+    return _report("theta-bound", digest,
                    {"region": args.region, "all_bounded": all_bounded, "entries": entries})
 
 
@@ -566,11 +464,9 @@ def _parse_component(text: str) -> frozenset[int]:
     try:
         parts = frozenset(int(c) for c in cleaned)
     except ValueError as exc:
-        raise CliError(EXIT_INVALID_INPUT, "invalid-input",
-                       f"bad component {text!r}") from exc
+        raise CliError(f"bad component {text!r}") from exc
     if not parts <= {1, 2}:
-        raise CliError(EXIT_INVALID_INPUT, "invalid-input",
-                       f"component must be drawn from {{1,2}}, got {text!r}")
+        raise CliError(f"component must be drawn from {{1,2}}, got {text!r}")
     return parts
 
 
@@ -593,13 +489,12 @@ def _cmd_l2_classify(args: argparse.Namespace) -> dict:
 
 
 def _cmd_stalk_cohomology(args: argparse.Namespace) -> dict:
-    datum = _load_datum(args.datum)
+    datum, digest, _ = _load_datum(args.datum)
     from .l2complex import (HODGE_BUNDLE, LOCAL_SYSTEM, build_stalk_complex, hypercohomology,
                             truncated_global_model)
 
     mode = HODGE_BUNDLE if args.mode == "hodge-bundle" else LOCAL_SYSTEM
-    monodromy = datum.as_monodromy()
-    complex_ = build_stalk_complex(monodromy, mode)
+    complex_ = build_stalk_complex(datum, mode)
     h = hypercohomology(complex_)
     results: dict = {
         "mode": args.mode,
@@ -608,11 +503,11 @@ def _cmd_stalk_cohomology(args: argparse.Namespace) -> dict:
         "euler": complex_.euler_characteristic(),
     }
     if args.truncation_degree is not None:
-        truncated = truncated_global_model(monodromy, args.truncation_degree)
+        truncated = truncated_global_model(datum, args.truncation_degree)
         results["truncation_degree"] = args.truncation_degree
         results["truncated_h"] = list(truncated)
         results["agrees"] = list(truncated) == list(h)
-    return _report("stalk-cohomology", datum.digest, results)
+    return _report("stalk-cohomology", digest, results)
 
 
 def _cmd_oracle_compare(args: argparse.Namespace) -> dict:
@@ -620,7 +515,7 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> dict:
     from .l2verdict import classify_l2
 
     if args.l_min > args.l_max:
-        raise CliError(EXIT_INVALID_INPUT, "invalid-input", "empty weight range")
+        raise CliError("empty weight range")
     components = (frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2}))
     cells = [
         (J, n1, n2, l1, l2)
@@ -656,10 +551,10 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> dict:
 
 
 def _cmd_end_check(args: argparse.Namespace) -> dict:
-    datum = _load_datum(args.datum)
+    datum, digest, _ = _load_datum(args.datum)
     from .l2complex import theta_image_check
 
-    rep = theta_image_check(datum.as_monodromy())
+    rep = theta_image_check(datum)
     entries = {}
     for index, entry in rep["entries"].items():
         clean = dict(entry)
@@ -676,24 +571,21 @@ def _cmd_end_check(args: argparse.Namespace) -> dict:
         "passes": rep["passes"],
         "entries": entries,
     }
-    return _report("end-check", datum.digest, results)
+    return _report("end-check", digest, results)
 
 
-@_dbar_errors
 def _cmd_dbar_solve(args: argparse.Namespace) -> dict:
     from .dbarspec import hormander_region, parse_case, path_corner
 
-    payload, digest, builtin = _read_payload(args.config)
-    if builtin is not None or payload is None:
-        raise CliError(EXIT_INVALID_INPUT, "invalid-input",
-                       "dbar-solve takes an experiment JSON file")
+    payload, digest = _read_payload(args.config)
+    if payload is None:
+        raise CliError(f"dbar-solve takes an experiment JSON file, got {args.config!r}")
     try:
         spec = parse_case(payload)
     except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(EXIT_INVALID_INPUT, "invalid-input", f"{args.config}: {exc}") from exc
+        raise CliError(f"{args.config}: {exc}") from exc
     if spec.degree not in (1, 2):
-        raise CliError(EXIT_INVALID_INPUT, "invalid-input",
-                       f"no solver for degree {spec.degree} data")
+        raise CliError(f"no solver for degree {spec.degree} data")
     bundle = spec.bundle
     bundle.require_admissible()
     # only a config that will be solved pays for numpy
@@ -837,31 +729,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _loaded_errors(table: dict[str, tuple[str, ...]]) -> tuple[type, ...]:
-    """The classes named in ``table`` whose modules are loaded."""
-    classes = []
-    for mod, names in table.items():
-        module = sys.modules.get(f"{__package__}.{mod}")
-        if module is not None:
-            classes.extend(getattr(module, name) for name in names)
-    return tuple(classes)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except CliError as exc:
-        return _fail(exc.code, exc.kind, str(exc))
+    except LimithodgeError as exc:
+        return _fail(exc, str(exc))
+    except AssertionError as exc:
+        return _fail(InternalInvariantFailure, str(exc))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        return _fail(CliError, str(exc))
     except Exception as exc:  # noqa: BLE001 - contract: never a bare traceback
-        if isinstance(exc, _loaded_errors(_PRECONDITION_ERRORS)):
-            return _fail(EXIT_PRECONDITION, "precondition-violated", str(exc))
-        if isinstance(exc, (AssertionError, *_loaded_errors(_INTERNAL_ERRORS))):
-            return _fail(EXIT_INTERNAL, "internal-invariant-failure", str(exc))
-        if isinstance(exc, (OSError, ValueError, KeyError, TypeError)):
-            return _fail(EXIT_INVALID_INPUT, "invalid-input", str(exc))
-        return _fail(EXIT_INTERNAL, "internal-invariant-failure", f"{type(exc).__name__}: {exc}")
+        return _fail(InternalInvariantFailure, f"{type(exc).__name__}: {exc}")
     _emit(report, args.format)
     return 0
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping
 
+from . import LimithodgeError, PreconditionViolated
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -32,15 +34,18 @@ MAX_POINTS = 2048
 MAX_LOG_POWER = 170.0
 
 
-class ExcludedExponent(ValueError):
+class ExcludedExponent(LimithodgeError, ValueError):
     """A metric exponent sits at the excluded value 1."""
 
+    code = 4
+    kind = "excluded-exponent"
 
-class IncompatibleInput(ValueError):
+
+class IncompatibleInput(PreconditionViolated, ValueError):
     """Degree-(0,1) data that fail the mode-wise compatibility identity."""
 
 
-class DivergentNorm(ValueError):
+class DivergentNorm(PreconditionViolated, ValueError):
     """A weighted norm that keeps growing under quadrature refinement."""
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import PreconditionViolated
 from .exactla import (
     ExactMatrix,
     Filtration,
@@ -38,11 +39,11 @@ from .weightfilt import NotNilpotent, monodromy_weight_filtration
 Bigrading = dict[tuple[int, int], Subspace]
 
 
-class NotAHodgeFiltration(ValueError):
+class NotAHodgeFiltration(PreconditionViolated, ValueError):
     """The filtration is not opposed to its conjugate at the given weight."""
 
 
-class NotPolarized(ValueError):
+class NotPolarized(PreconditionViolated, ValueError):
     """The form fails symmetry, piece-orthogonality, or positivity."""
 
 

@@ -12,7 +12,8 @@ an independent oracle, and a small double-complex engine handles the
 Čech-style patching used in the comparison tests.
 
 The complex is spanned by the generators that the square-integrability
-classifier of ``l2verdict`` passes; ``classify_l2`` is re-exported here.
+classifier of ``l2verdict`` passes; ``classify_l2`` is re-exported here,
+and so are ``MonodromyDatum`` and ``end_datum`` of ``datum``.
 """
 
 from __future__ import annotations
@@ -21,16 +22,16 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from . import InternalInvariantFailure
+from .datum import MonodromyDatum, _ad_matrix, end_datum  # noqa: F401 (re-export)
 from .exactla import (
     BigradedPiece,
     ExactMatrix,
-    Filtration,
     Scalar,
     Subspace,
     bigraded_pieces,
     block_diag,
     exp_nilpotent,
-    kron,
     maps_into,
     matrix_between,
     rank,
@@ -38,69 +39,18 @@ from .exactla import (
 )
 from .growth import _weight_filtration, minimal_weight
 from .l2verdict import classify_l2, directional, swap_component  # noqa: F401 (re-export)
-from .sl2rep import Model, alpha_basis, build_model, isotypic_decomposition
-from .weightfilt import commuting_check, nilpotency_check
+from .sl2rep import alpha_basis, isotypic_decomposition
 
 LOCAL_SYSTEM = "local_system"
 HODGE_BUNDLE = "hodge_bundle"
 
 
-class IllFormedComplex(ValueError):
+class IllFormedComplex(InternalInvariantFailure, ValueError):
     """A differential fails to map its source space into its target."""
 
 
-class AnticommutationFailure(ValueError):
+class AnticommutationFailure(InternalInvariantFailure, ValueError):
     """Double-complex squares do not anticommute (or a square of a map is nonzero)."""
-
-
-# ----------------------------------------------------------------------
-# the monodromy datum
-
-
-@dataclass(frozen=True)
-class MonodromyDatum:
-    """Local degeneration data: two commuting nilpotents plus optional extras.
-
-    ``hodge`` and ``polarization`` are carried for consumers that need
-    them (mixed-Hodge checks, metrics); ``model`` is the bigraded model
-    the datum came from, when there is one — it supplies the σ/α frame
-    for the Hodge-bundle flavour of the stalk complex.  Entries in
-    Q(i) carry their rational structure implicitly.
-    """
-
-    weight: int
-    n1: ExactMatrix
-    n2: ExactMatrix
-    hodge: Filtration | None = None
-    polarization: ExactMatrix | None = None
-    model: Model | None = None
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.n1.rows != self.n1.cols or self.n2.rows != self.n2.cols:
-            raise ValueError("monodromy logarithms must be square")
-        if self.n1.rows != self.n2.rows:
-            raise ValueError("monodromy logarithms must act on the same space")
-        nilpotency_check(self.n1)
-        nilpotency_check(self.n2)
-        commuting_check([self.n1, self.n2])
-
-    @property
-    def dimension(self) -> int:
-        return self.n1.rows
-
-    @staticmethod
-    def from_model(model: Model, label: str = "") -> "MonodromyDatum":
-        n1, n2 = model.action.nminus
-        return MonodromyDatum(
-            weight=model.weight,
-            n1=n1,
-            n2=n2,
-            hodge=model.hodge_filtration(),
-            polarization=model.polarization,
-            model=model,
-            label=label,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -301,22 +251,6 @@ def koszul_cohomology(datum: MonodromyDatum) -> tuple[int, int, int]:
     return (dim - r0, 2 * dim - r0 - r1, dim - r1)
 
 
-def _ad_matrix(n: ExactMatrix) -> ExactMatrix:
-    """Matrix of X ↦ NX - XN on End(H) in the row-major matrix-unit basis."""
-    one = ExactMatrix.identity(n.rows)
-    return kron(n, one) - kron(one, n.transpose())
-
-
-def end_datum(datum: MonodromyDatum) -> MonodromyDatum:
-    """The induced datum on End(H): weight 0, logarithms ad(N_i)."""
-    return MonodromyDatum(
-        weight=0,
-        n1=_ad_matrix(datum.n1),
-        n2=_ad_matrix(datum.n2),
-        label=f"End({datum.label})" if datum.label else "End",
-    )
-
-
 def _flatten(m: ExactMatrix) -> tuple[Scalar, ...]:
     return tuple(m[i, j] for i in range(m.rows) for j in range(m.cols))
 
@@ -480,28 +414,3 @@ def two_chart_cover(c: StalkComplex) -> DoubleComplex:
             horizontal[(0, q)] = ExactMatrix.identity(dim).hstack(-ExactMatrix.identity(dim))
     return DoubleComplex(spaces=spaces, horizontal=horizontal, vertical=vertical)
 
-
-# ----------------------------------------------------------------------
-# the shared test corpus
-
-
-# label -> (m, n) of the split model S(m)⊗S(n), and the End data with their base labels
-_CORPUS_MODELS = {"trivial": (0, 0), "jordan2-t1": (1, 0), "jordan2-t2": (0, 1),
-                  "s11": (1, 1), "s21": (2, 1)}
-_CORPUS_END = {f"End({base})": base for base in ("jordan2-t1", "s11")}
-
-
-def corpus_entry(label: str) -> MonodromyDatum | None:
-    """The corpus datum with this label, built alone, or None if there is none."""
-    if label in _CORPUS_MODELS:
-        return MonodromyDatum.from_model(build_model("S", *_CORPUS_MODELS[label]), label=label)
-    if label in _CORPUS_END:
-        return end_datum(corpus_entry(_CORPUS_END[label]))
-    return None
-
-
-def standard_corpus(include_end: bool = True) -> list[MonodromyDatum]:
-    """The documented exercise set: split models plus their End data."""
-    data = {label: corpus_entry(label) for label in _CORPUS_MODELS}
-    ends = [end_datum(data[base]) for base in _CORPUS_END.values()] if include_end else []
-    return [*data.values(), *ends]

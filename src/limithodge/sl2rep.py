@@ -22,6 +22,7 @@ from functools import reduce
 from itertools import combinations
 from typing import Callable, Sequence
 
+from . import InternalInvariantFailure, PreconditionViolated
 from .exactla import (
     ExactMatrix,
     Filtration,
@@ -52,23 +53,23 @@ from .exactla import (
 Bigrading = dict[tuple[int, int], Subspace]
 
 
-class NotHorizontal(ValueError):
+class NotHorizontal(PreconditionViolated, ValueError):
     """The action does not shift the bigrading the way a horizontal pair must."""
 
 
-class NotIsometric(ValueError):
+class NotIsometric(PreconditionViolated, ValueError):
     """The action is not by infinitesimal isometries of the given form."""
 
 
-class NoSolution(ValueError):
+class NoSolution(PreconditionViolated, ValueError):
     """The sl2-triple completion system is inconsistent."""
 
 
-class WrongKind(ValueError):
+class WrongKind(PreconditionViolated, ValueError):
     """Operation applied to a factor of an unsupported kind."""
 
 
-class DecompositionError(RuntimeError):
+class DecompositionError(InternalInvariantFailure, RuntimeError):
     """A certified invariant of the decomposition failed."""
 
 

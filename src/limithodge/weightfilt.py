@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import InternalInvariantFailure, PreconditionViolated
 from .exactla import (
     ExactMatrix,
     Filtration,
@@ -28,19 +29,19 @@ from .exactla import (
 )
 
 
-class NotNilpotent(ValueError):
+class NotNilpotent(PreconditionViolated, ValueError):
     """The matrix does not power to zero within the ambient dimension."""
 
 
-class NonCommuting(ValueError):
+class NonCommuting(PreconditionViolated, ValueError):
     """A family of matrices expected to commute does not."""
 
 
-class NonPositiveCoefficient(ValueError):
+class NonPositiveCoefficient(PreconditionViolated, ValueError):
     """Cone coefficients must be strictly positive."""
 
 
-class AxiomFailure(RuntimeError):
+class AxiomFailure(InternalInvariantFailure, RuntimeError):
     """A constructed filtration failed its own defining axioms."""
 
 

@@ -23,6 +23,7 @@ from limithodge.dbar import (
     solve_dbar_01,
     verify_bound,
 )
+from limithodge.datum import MonodromyDatum, standard_corpus
 from limithodge.exactla import (
     ExactMatrix,
     Scalar,
@@ -42,11 +43,9 @@ from limithodge.growth import (
     transpose_keys,
 )
 from limithodge.l2complex import (
-    MonodromyDatum,
     build_stalk_complex,
     classify_l2,
     hypercohomology,
-    standard_corpus,
     total_cohomology,
     truncated_global_model,
     two_chart_cover,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -379,6 +380,17 @@ def test_non_nilpotent_operator_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_logarithm_not_run_must_still_be_nilpotent(tmp_path, capsys):
+    path = _write_json(
+        tmp_path / "unipotent-n2.json",
+        {"dimension": 2, "N1": [[0, 1], [0, 0]], "N2": [[1, 0], [0, 1]]},
+    )
+    code, error = _run_error(["weight-filtration", path, "--operator", "n1"], capsys)
+    assert code == 3
+    assert error["kind"] == "precondition-violated"
+    assert "does not power to zero" in error["message"]
+
+
 def test_excluded_exponent_exits_4(tmp_path, capsys):
     config = _write_json(
         tmp_path / "edge.json",
@@ -454,6 +466,66 @@ def test_datum_integer_fields_must_be_json_integers(tmp_path, capsys, payload, f
     assert f"{field} must be an integer, got {value!r}" in error["message"]
 
 
+@pytest.mark.parametrize("labels", ["ab", 5, ["a", 1]])
+def test_datum_labels_must_be_a_list_of_strings(tmp_path, capsys, labels):
+    path = _write_json(tmp_path / "datum.json",
+                       {"model": {"kind": "S", "m": 1}, "labels": labels})
+    code, error = _run_error(["weight-filtration", path], capsys)
+    assert code == 2
+    assert f"labels must be a list of strings, got {labels!r}" in error["message"]
+
+
+_WRONG_SIZE = {
+    "F": ("hodge (F)", {"ambient_dim": 3, "direction": "decreasing",
+                        "steps": [{"l": 0, "basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}),
+    "S": ("polarization (S)", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_WRONG_SIZE))
+@pytest.mark.parametrize("command", ["stalk-cohomology", "mhs-check"])
+def test_datum_hodge_and_polarization_must_match_the_dimension(tmp_path, capsys, field,
+                                                               command):
+    name, value = _WRONG_SIZE[field]
+    path = _write_json(tmp_path / "datum.json", {"model": {"kind": "S", "m": 1}, field: value})
+    code, error = _run_error([command, path], capsys)
+    assert (code, error["kind"]) == (2, "invalid-input")
+    assert error["message"].startswith(name)
+
+
+# every error class of the library, with its builtin base and exit code
+_ERROR_CLASSES = [
+    ("weightfilt", "NotNilpotent", ValueError, 3),
+    ("weightfilt", "NonCommuting", ValueError, 3),
+    ("weightfilt", "NonPositiveCoefficient", ValueError, 3),
+    ("weightfilt", "AxiomFailure", RuntimeError, 5),
+    ("sl2rep", "NotHorizontal", ValueError, 3),
+    ("sl2rep", "NotIsometric", ValueError, 3),
+    ("sl2rep", "NoSolution", ValueError, 3),
+    ("sl2rep", "WrongKind", ValueError, 3),
+    ("sl2rep", "DecompositionError", RuntimeError, 5),
+    ("hodgestruct", "NotAHodgeFiltration", ValueError, 3),
+    ("hodgestruct", "NotPolarized", ValueError, 3),
+    ("l2complex", "IllFormedComplex", ValueError, 5),
+    ("l2complex", "AnticommutationFailure", ValueError, 5),
+    ("dbarspec", "ExcludedExponent", ValueError, 4),
+    ("dbarspec", "IncompatibleInput", ValueError, 3),
+    ("dbarspec", "DivergentNorm", ValueError, 3),
+    ("cli", "CliError", Exception, 2),
+]
+_KINDS = {2: "invalid-input", 3: "precondition-violated", 4: "excluded-exponent",
+          5: "internal-invariant-failure"}
+
+
+@pytest.mark.parametrize("module, name, base, code", _ERROR_CLASSES,
+                         ids=[name for _, name, _, _ in _ERROR_CLASSES])
+def test_error_classes_carry_their_exit_code_and_kind(module, name, base, code):
+    cls = getattr(importlib.import_module(f"limithodge.{module}"), name)
+    assert issubclass(cls, limithodge.LimithodgeError)
+    assert issubclass(cls, base)
+    assert (cls.code, cls.kind) == (code, _KINDS[code])
+
+
 def _subprocess_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(limithodge.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
@@ -492,12 +564,12 @@ _NON_COMMUTING = {"dimension": 2, "N1": [[0, 1], [0, 0]], "N2": [[0, 0], [2, 0]]
 _DEFECT_TRANSPORT = [[1, -1, -2, -4, 0, -2], [-1, 2, 0, 0, -1, 0], [0, 0, 1, 2, 0, 0],
                      [-2, 2, 0, 1, -2, 0], [2, -2, -2, -4, 1, -2], [0, 0, 1, 2, 0, 1]]
 
-# the limithodge modules a subcommand may load, after the cli itself
+# the limithodge modules a subcommand may load, after the cli itself; a datum
+# loads ``datum`` and, to validate it, ``weightfilt``
 _DBAR = "cli dbarspec"
-_RAW = "cli exactla serialize weightfilt"
-_MODEL = "cli exactla serialize sl2rep"
-_L2 = "cli exactla growth l2complex l2verdict serialize sl2rep weightfilt"
-_BUILTIN = "cli exactla growth l2complex l2verdict sl2rep weightfilt"
+_RAW = "cli datum exactla serialize weightfilt"
+_MODEL = "cli datum exactla serialize sl2rep weightfilt"
+_L2 = "cli datum exactla growth l2complex l2verdict serialize sl2rep weightfilt"
 
 
 def _model(spec):
@@ -523,25 +595,30 @@ def _model(spec):
     (["cone-check", _RAW_PAIR, "--samples", "2"], 0, _RAW, False),
     (["weight-filtration", _NON_COMMUTING], 3, _RAW, False),
     (["decompose", b'{"model": {"kind": "S", "m": '], 2, "cli", False),
+    (["weight-filtration", "no-such-datum"], 2, "cli datum exactla weightfilt", False),
     (["decompose", _model({"kind": "S", "m": 1, "n": 1})], 0, _MODEL, False),
     (["alpha-basis", _model({"kind": "S", "m": 2})], 0, _MODEL, False),
+    # a built-in label loads what a model file does, and no more
+    (["alpha-basis", "s11"], 0, _MODEL, False),
     (["mhs-check", _model({"kind": "H", "l": 1, "m": 1})], 0,
-     "cli exactla hodgestruct serialize sl2rep weightfilt", False),
-    (["norm-class", "s11"], 0, _BUILTIN, False),
+     "cli datum exactla hodgestruct serialize sl2rep weightfilt", False),
+    (["norm-class", "s11"], 0, "cli datum exactla growth sl2rep weightfilt", False),
     (["theta-bound", _model({"kind": "S", "m": 1, "n": 1})], 0,
-     "cli exactla growth serialize sl2rep weightfilt", False),
+     "cli datum exactla growth serialize sl2rep weightfilt", False),
     (["stalk-cohomology", _model({"kind": "S", "m": 1, "n": 1}), "--truncation-degree", "1"],
      0, _L2, False),
     # pins a known defect: the local-system stalk complex of this transported
     # model is ill-formed, which the CLI reports as an internal failure (exit 5)
     (["stalk-cohomology", _model({"kind": "S", "m": 2, "n": 1, "transport": _DEFECT_TRANSPORT})],
      5, _L2, False),
-    (["end-check", "jordan2-t1"], 0, _BUILTIN, False),
+    (["end-check", "jordan2-t1"], 0,
+     "cli datum exactla growth l2complex l2verdict sl2rep weightfilt", False),
 ], ids=["region", "region-nan", "k-nan", "degree-0", "excluded-malformed", "excluded",
         "amplitude-nan", "m-huge", "m-huge-negative", "power-huge", "solve", "oracle-compare",
         "l2-classify", "weight-filtration", "cone-check", "exit3-noncommuting",
-        "unparseable", "decompose", "alpha-basis", "mhs-check", "norm-class", "theta-bound",
-        "stalk-cohomology", "exit5-ill-formed-known-defect", "end-check"])
+        "unparseable", "missing-datum", "decompose", "alpha-basis", "alpha-basis-builtin",
+        "mhs-check", "norm-class", "theta-bound", "stalk-cohomology",
+        "exit5-ill-formed-known-defect", "end-check"])
 def test_dbar_commands_load_numpy_only_to_solve(tmp_path, argv, code, modules, numpy_loaded):
     """Each subcommand loads only the modules it runs; numpy only to solve, scipy never."""
     # a dict or bytes stands for a file written on the fly, outside the golden dbar_configs/

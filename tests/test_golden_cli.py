@@ -17,7 +17,7 @@ import json
 from pathlib import Path
 
 from limithodge.cli import main
-from limithodge.l2complex import standard_corpus
+from limithodge.datum import standard_corpus
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden_cli.json"

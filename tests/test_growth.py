@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from limithodge.datum import standard_corpus
 from limithodge.exactla import ExactMatrix, Scalar, scalar
 from limithodge.growth import (
     D_EPS,
@@ -19,7 +20,6 @@ from limithodge.growth import (
     transpose_keys,
 )
 from limithodge.hodgestruct import PolarizationForm, filtration_to_bigrading, weil_and_metric
-from limithodge.l2complex import standard_corpus
 from limithodge.sl2rep import alpha_basis, build_model, isotypic_decomposition
 from limithodge.weightfilt import monodromy_weight_filtration
 

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from limithodge.datum import MonodromyDatum, corpus_entry, end_datum, standard_corpus
 from limithodge.exactla import ExactMatrix, Subspace, image, kernel, rank
 from limithodge.l2complex import (
     HODGE_BUNDLE,
@@ -12,15 +13,11 @@ from limithodge.l2complex import (
     AnticommutationFailure,
     DoubleComplex,
     IllFormedComplex,
-    MonodromyDatum,
     StalkComplex,
     build_stalk_complex,
     classify_l2,
-    corpus_entry,
-    end_datum,
     hypercohomology,
     koszul_cohomology,
-    standard_corpus,
     theta_image_check,
     total_cohomology,
     truncated_global_model,
@@ -323,6 +320,8 @@ def test_datum_validates_inputs():
     with pytest.raises(ValueError):
         MonodromyDatum(weight=0, n1=ExactMatrix.identity(2),
                        n2=ExactMatrix.zeros(2, 2))
+    with pytest.raises(ValueError, match=r"polarization \(S\) is 3x3, not 2x2"):
+        MonodromyDatum(weight=1, n1=n, n2=n, polarization=ExactMatrix.identity(3))
 
 
 def test_corpus_labels_are_stable():
