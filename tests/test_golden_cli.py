@@ -1,5 +1,6 @@
-"""Golden CLI digests: every datum subcommand on every built-in label, and
-the dbar subcommands on fixed exponents and the configs in ``dbar_configs/``.
+"""Golden CLI digests: every datum subcommand on every built-in label, the
+weight and cone reports of the dense Q(i) data in ``datums/``, and the dbar
+subcommands on fixed exponents and the configs in ``dbar_configs/``.
 
 ``tests/golden_cli.json`` maps each argv (joined by spaces, config paths
 relative to ``tests/``) to its exit code and the sha256 of its stdout.  The
@@ -22,6 +23,7 @@ from limithodge.datum import standard_corpus
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden_cli.json"
 CONFIGS = HERE / "dbar_configs"
+DATUMS = HERE / "datums"
 
 SHAPES = (
     ["weight-filtration"],
@@ -41,6 +43,14 @@ SHAPES = (
 # about 30 s, so it is left out
 SLOW = {"end-check End(s11)"}
 
+# the datum files are dense Gaussian conjugates, so these pin printed bases
+# with Q(i) entries, which no split corpus label has
+DATUM_SHAPES = (
+    ["weight-filtration"],
+    ["weight-filtration", "--operator", "n1"],
+    ["cone-check", "--samples", "2"],
+)
+
 REGION_EXPONENTS = (("-2", "-1"), ("0.5", "2"), ("1", "-0.5"))
 
 
@@ -52,6 +62,9 @@ def cases() -> dict[str, list[str]]:
             argv = [cmd, datum.label, *flags]
             if " ".join(argv) not in SLOW:
                 out[" ".join(argv)] = argv
+    for datum in sorted(DATUMS.glob("*.json")):
+        for cmd, *flags in DATUM_SHAPES:
+            out[" ".join([cmd, f"{DATUMS.name}/{datum.name}", *flags])] = [cmd, str(datum), *flags]
     for p in range(3):
         for q in range(3):
             for k, l in REGION_EXPONENTS:
