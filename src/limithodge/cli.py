@@ -39,8 +39,9 @@ Input files with monodromy data follow one schema::
      "hodge_numbers": [...], "labels": [...]}
 
 Every datum is loaded as a ``datum.MonodromyDatum``, so both logarithms must be
-nilpotent and commute, and ``F`` and ``S`` must have its dimension; ``labels``
-must be a list of strings and is not read further.
+nilpotent and commute, and ``F``, ``S`` and ``model`` must have its dimension.
+``labels`` must be a list of strings and ``hodge_numbers`` a list of
+non-negative integers; neither is read further.
 
 A bare name is looked up in the directory named by LIMITHODGE_CORPUS and
 then among the built-in corpus labels (``trivial``, ``jordan2-t1``, ...).
@@ -162,6 +163,11 @@ def _load_datum(arg: str) -> tuple[MonodromyDatum, str, list[tuple] | None]:
         labels = payload.get("labels", [])
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise ValueError(f"labels must be a list of strings, got {labels!r}")
+        hodge_numbers = payload.get("hodge_numbers", [])
+        if not isinstance(hodge_numbers, list) or not all(
+                type(x) is int and x >= 0 for x in hodge_numbers):
+            raise ValueError("hodge_numbers must be a list of non-negative integers, "
+                             f"got {hodge_numbers!r}")
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"{arg}: {exc}") from exc
     for label, mat in (("N1", n1), ("N2", n2)):

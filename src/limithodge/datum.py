@@ -51,6 +51,8 @@ class MonodromyDatum:
         pol = self.polarization
         if pol is not None and (pol.rows, pol.cols) != (dim, dim):
             raise ValueError(f"polarization (S) is {pol.rows}x{pol.cols}, not {dim}x{dim}")
+        if self.model is not None and self.model.dim != dim:
+            raise ValueError(f"model has dimension {self.model.dim}, not {dim}")
         nilpotency_check(self.n1)
         nilpotency_check(self.n2)
         commuting_check([self.n1, self.n2])

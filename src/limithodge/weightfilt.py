@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from . import InternalInvariantFailure, PreconditionViolated
@@ -19,13 +20,11 @@ from .exactla import (
     Filtration,
     Subspace,
     induced_filtration_on_graded,
-    induced_map_on_graded,
-    intersect,
-    kernel,
     image,
+    induced_map_on_graded,
+    kernel,
     maps_into,
     rank,
-    subspace_sum,
 )
 
 
@@ -98,33 +97,29 @@ def monodromy_weight_filtration(N: ExactMatrix, center: int = 0) -> WeightFiltra
     """The unique increasing filtration with N W_l <= W_{l-2} and
     N^l : Gr_{l+center} ~ Gr_{-l+center}.
 
-    Built from the closed formula
+    Built from the closed formula (centered indexing, e the nilpotency
+    index)
     W_k = sum_{j >= max(0,-k)} ker(N^{k+j+1}) ∩ im(N^j)
-    (centered indexing) and re-verified against both axioms before
-    returning; AxiomFailure is raised if verification fails, so a
-    returned filtration is always certified.
+        = sum_{j >= max(0,-k)} N^j ker(N^{min(k+2j+1, e)}),
+    by the identity ker(N^a) ∩ im(N^j) = N^j ker(N^{a+j}): v = N^j w lies
+    in ker(N^a) exactly when w lies in ker(N^{a+j}).  So the kernels are
+    computed once and each step is one image.  The result is re-verified
+    against both axioms before returning; AxiomFailure is raised if
+    verification fails, so a returned filtration is always certified.
     """
     powers = _nilpotent_powers(N)
     d = N.rows
     nilindex = len(powers) - 1  # smallest e with N^e = 0
 
-    def power(e: int) -> ExactMatrix:
-        return powers[min(e, nilindex)]
-
-    kernels = {e: kernel(power(e)) for e in range(nilindex + 1)}
-    images = {e: image(power(e)) for e in range(nilindex + 1)}
+    # kernels[a] = ker N^a for a = 1..e; N^e = 0, so the last is the whole space
+    kernels = [None, *(kernel(powers[a]) for a in range(1, nilindex)), Subspace.full(d)]
 
     steps: list[tuple[int, Subspace]] = []
     prev: Subspace | None = None
     for k in range(-nilindex, nilindex + 1):
-        acc = Subspace.zero(d)
-        for j in range(max(0, -k), nilindex):
-            e = min(k + j + 1, nilindex)
-            if e <= 0:
-                continue
-            term = intersect(kernels[e], images[j])
-            if term.dim:
-                acc = subspace_sum(acc, term)
+        terms = [powers[j] @ kernels[min(k + 2 * j + 1, nilindex)].basis
+                 for j in range(max(0, -k), nilindex)]
+        acc = image(reduce(ExactMatrix.hstack, terms)) if terms else Subspace.zero(d)
         if prev is None or acc != prev:
             steps.append((k, acc))
             prev = acc

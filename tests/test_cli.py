@@ -475,6 +475,35 @@ def test_datum_labels_must_be_a_list_of_strings(tmp_path, capsys, labels):
     assert f"labels must be a list of strings, got {labels!r}" in error["message"]
 
 
+
+@pytest.mark.parametrize("hodge_numbers", [3, [1, -1], [1, 1.0], [True], ["1"]])
+def test_datum_hodge_numbers_must_be_a_list_of_non_negative_integers(tmp_path, capsys,
+                                                                    hodge_numbers):
+    path = _write_json(tmp_path / "datum.json",
+                       {"model": {"kind": "S", "m": 1}, "hodge_numbers": hodge_numbers})
+    code, error = _run_error(["weight-filtration", path], capsys)
+    assert code == 2
+    assert ("hodge_numbers must be a list of non-negative integers, "
+            f"got {hodge_numbers!r}") in error["message"]
+
+
+def test_datum_hodge_numbers_are_accepted_and_not_read(tmp_path, capsys):
+    plain = _write_json(tmp_path / "plain.json", {"model": {"kind": "S", "m": 1}})
+    numbered = _write_json(tmp_path / "numbered.json",
+                           {"model": {"kind": "S", "m": 1}, "hodge_numbers": [1, 1]})
+    assert (_run_json(["weight-filtration", plain], capsys)["results"]
+            == _run_json(["weight-filtration", numbered], capsys)["results"])
+
+
+@pytest.mark.parametrize("command", ["decompose", "weight-filtration"])
+def test_datum_model_must_match_the_dimension(tmp_path, capsys, command):
+    path = _write_json(tmp_path / "datum.json",
+                       {"model": {"kind": "S", "m": 1, "n": 1}, "dimension": 2,
+                        "N1": [[0, 1], [0, 0]], "N2": [[0, 0], [0, 0]]})
+    code, error = _run_error([command, path], capsys)
+    assert (code, error["kind"]) == (2, "invalid-input")
+    assert error["message"] == "model has dimension 4, not 2"
+
 _WRONG_SIZE = {
     "F": ("hodge (F)", {"ambient_dim": 3, "direction": "decreasing",
                         "steps": [{"l": 0, "basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}),

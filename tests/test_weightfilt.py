@@ -4,10 +4,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from limithodge.exactla import ExactMatrix, Filtration, Subspace, apply_to_subspace, inverse, rank
+from limithodge import exactla
+from limithodge.datum import corpus_entry
+from limithodge.exactla import (
+    ExactMatrix,
+    Filtration,
+    Scalar,
+    Subspace,
+    apply_to_subspace,
+    image,
+    induced_map_on_graded,
+    intersect,
+    inverse,
+    kernel,
+    rank,
+    subspace_sum,
+)
 from limithodge.sl2rep import build_model
-from limithodge.exactla import induced_map_on_graded
 from limithodge.weightfilt import (
     AxiomFailure,
     NonCommuting,
@@ -19,7 +35,7 @@ from limithodge.weightfilt import (
     monodromy_weight_filtration,
     relative_weight_check,
 )
-from limithodge.weightfilt import _verify_weight_axioms
+from limithodge.weightfilt import _nilpotent_powers, _verify_weight_axioms
 
 
 def _jordan(dim: int) -> ExactMatrix:
@@ -121,6 +137,78 @@ def test_shift_axiom_violation_is_reported():
                                       [(0, [[1, 0]]), (1, [[1, 0], [0, 1]])])
     with pytest.raises(AxiomFailure, match="N does not map W_1 into W_-1"):
         _verify_weight_axioms(n, filt, 0, [ExactMatrix.identity(2), n, n @ n])
+
+
+# ----------------------------------------------------------------------
+# the one-image construction against the intersect-and-sum formula
+
+
+def _reference_steps(N: ExactMatrix) -> list[tuple[int, Subspace]]:
+    """W_k = sum_{j >= max(0,-k)} ker(N^{k+j+1}) ∩ im(N^j), one intersect and
+    one sum per term, with the same step de-duplication and early stop."""
+    powers = _nilpotent_powers(N)
+    d, e = N.rows, len(powers) - 1
+    kernels = [kernel(p) for p in powers]
+    images = [image(p) for p in powers]
+    steps: list[tuple[int, Subspace]] = []
+    for k in range(-e, e + 1):
+        acc = Subspace.zero(d)
+        for j in range(max(0, -k), e):
+            acc = subspace_sum(acc, intersect(kernels[min(k + j + 1, e)], images[j]))
+        if not steps or acc != steps[-1][1]:
+            steps.append((k, acc))
+        if acc.dim == d:
+            break
+    return steps
+
+
+_small_ints = st.one_of(st.just(0), st.integers(-2, 2))
+
+
+@st.composite
+def _conjugated_nilpotents(draw) -> ExactMatrix:
+    """A sparse strictly upper-triangular integer N of size <= 7, conjugated by
+    a dense unipotent P = LU with integer or Gaussian-integer entries."""
+    d = draw(st.integers(1, 7))
+    gaussian = draw(st.booleans())
+
+    def entry():
+        return Scalar(draw(_small_ints), draw(_small_ints)) if gaussian else draw(_small_ints)
+
+    seed = [[draw(_small_ints) if j > i else 0 for j in range(d)] for i in range(d)]
+    lower = [[1 if i == j else entry() if i > j else 0 for j in range(d)] for i in range(d)]
+    upper = [[1 if i == j else entry() if i < j else 0 for j in range(d)] for i in range(d)]
+    p = ExactMatrix(lower) @ ExactMatrix(upper)
+    return p @ ExactMatrix(seed) @ inverse(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_conjugated_nilpotents())
+def test_weight_steps_match_the_intersect_and_sum_formula(N):
+    got = monodromy_weight_filtration(N).filtration.steps
+    want = _reference_steps(N)
+    assert [(k, s.pivots(), s.basis) for k, s in got] == \
+        [(k, s.pivots(), s.basis) for k, s in want]
+
+
+@pytest.mark.parametrize("label", ["s11", "s21", "End(s11)"])
+def test_row_reductions_per_filtration_grow_linearly_in_the_nilpotency_index(monkeypatch,
+                                                                              label):
+    # the intersect-and-sum construction made 60, 104 and 159 on N1 + N2 here
+    datum = corpus_entry(label)
+    calls = [0]
+    row_reduce = exactla._row_reduce
+
+    def counted(*args):
+        calls[0] += 1
+        return row_reduce(*args)
+
+    monkeypatch.setattr(exactla, "_row_reduce", counted)
+    for N in (datum.n1, datum.n1 + datum.n2):
+        e = len(_nilpotent_powers(N)) - 1
+        calls[0] = 0
+        monodromy_weight_filtration(N)
+        assert calls[0] <= 5 * e, f"{calls[0]} row reductions at nilpotency index {e}"
 
 
 # ----------------------------------------------------------------------
