@@ -542,13 +542,18 @@ class ExactMatrix:
         return ExactMatrix._from_ints(self.cols, self.den, self.re,
                                       None if self.im is None else _scaled(self.im, -1))
 
-    def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.rows != other.rows:
+    def hstack(self, *others: "ExactMatrix") -> "ExactMatrix":
+        """This matrix with the others placed to its right, in order."""
+        if any(o.rows != self.rows for o in others):
             raise ValueError("row count mismatch in hstack")
-        den, ((ra, ia), (rb, ib)) = _common_form([self, other])
-        im = None if ia is None else [x + y for x, y in zip(ia, ib)]
-        return ExactMatrix._from_ints(self.cols + other.cols, den,
-                                      [x + y for x, y in zip(ra, rb)], im)
+        den, parts = _common_form([self, *others])
+
+        def joined(blocks):
+            return [list(chain.from_iterable(rows)) for rows in zip(*blocks)]
+
+        im = None if parts[0][1] is None else joined([i for _, i in parts])
+        return ExactMatrix._from_ints(self.cols + sum(o.cols for o in others), den,
+                                      joined([r for r, _ in parts]), im)
 
     def commutator(self, other: "ExactMatrix") -> "ExactMatrix":
         return self @ other - other @ self
@@ -598,7 +603,7 @@ def block_diag(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
     total, offset, rows = sum(b.cols for b in blocks), 0, []
     for b in blocks:
         after = ExactMatrix.zeros(b.rows, total - offset - b.cols)
-        rows.append(ExactMatrix.zeros(b.rows, offset).hstack(b).hstack(after))
+        rows.append(ExactMatrix.zeros(b.rows, offset).hstack(b, after))
         offset += b.cols
     return vstack(rows)
 

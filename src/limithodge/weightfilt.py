@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Sequence
 
 from . import InternalInvariantFailure, PreconditionViolated
@@ -119,7 +118,7 @@ def monodromy_weight_filtration(N: ExactMatrix, center: int = 0) -> WeightFiltra
     for k in range(-nilindex, nilindex + 1):
         terms = [powers[j] @ kernels[min(k + 2 * j + 1, nilindex)].basis
                  for j in range(max(0, -k), nilindex)]
-        acc = image(reduce(ExactMatrix.hstack, terms)) if terms else Subspace.zero(d)
+        acc = image(terms[0].hstack(*terms[1:])) if terms else Subspace.zero(d)
         if prev is None or acc != prev:
             steps.append((k, acc))
             prev = acc

@@ -477,6 +477,7 @@ def test_products_match_reference(data):
     assert _pairs(A.conjugate().entries) == [[(x[0], -x[1]) for x in r] for r in a_pairs]
     assert _pairs((-A).entries) == [[(-x[0], -x[1]) for x in r] for r in a_pairs]
     assert _pairs(A.hstack(C).entries) == [r + s for r, s in zip(a_pairs, c_pairs)]
+    assert _pairs(A.hstack(C, A).entries) == [r + s + r for r, s in zip(a_pairs, c_pairs)]
     stacked = vstack([A, C])
     assert (stacked.rows, stacked.cols) == (2 * A.rows, inner)
     assert _pairs(stacked.entries) == a_pairs + c_pairs
