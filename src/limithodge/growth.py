@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .exactla import (
@@ -22,21 +21,13 @@ from .exactla import (
     rank,
     solve,
 )
-from .weightfilt import WeightFiltration, commuting_check, monodromy_weight_filtration
+from .weightfilt import WeightFiltration, _weight_filtration, commuting_check
 
 D_EPS = "D_eps"
 D_EPS_PRIME = "D_eps_prime"
 
 Vector = tuple[Scalar, ...]
 AlphaBasis = dict[tuple[int, int], Vector]
-
-# Weight filtrations are recomputed for every section of a frame, always
-# from the same couple of operators, and dominate the running time of
-# class bookkeeping; matrices are immutable and hashable, so cache them.
-# One computation on a datum asks for at most three distinct operators
-# (N1, N1+N2 and, for End data, the ad-operators); the cap keeps those
-# hits while bounding what a long run holds on to.
-_weight_filtration = lru_cache(maxsize=32)(monodromy_weight_filtration)
 
 
 @dataclass(frozen=True)

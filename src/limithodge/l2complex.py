@@ -37,9 +37,10 @@ from .exactla import (
     rank,
     vstack,
 )
-from .growth import _weight_filtration, minimal_weight
+from .growth import minimal_weight
 from .l2verdict import classify_l2, directional, swap_component  # noqa: F401 (re-export)
 from .sl2rep import alpha_basis, isotypic_decomposition
+from .weightfilt import _weight_filtration
 
 LOCAL_SYSTEM = "local_system"
 HODGE_BUNDLE = "hodge_bundle"

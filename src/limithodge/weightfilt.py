@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from . import InternalInvariantFailure, PreconditionViolated
@@ -102,10 +103,17 @@ def monodromy_weight_filtration(N: ExactMatrix, center: int = 0) -> WeightFiltra
         = sum_{j >= max(0,-k)} N^j ker(N^{min(k+2j+1, e)}),
     by the identity ker(N^a) ∩ im(N^j) = N^j ker(N^{a+j}): v = N^j w lies
     in ker(N^a) exactly when w lies in ker(N^{a+j}).  So the kernels are
-    computed once and each step is one image.  The result is re-verified
-    against both axioms before returning; AxiomFailure is raised if
-    verification fails, so a returned filtration is always certified.
+    computed once and each step is one image.  Each operator's centered
+    filtration is built and certified against both axioms once (else
+    AxiomFailure), then shared from a 32-entry memo as one immutable
+    object and recentered here; errors are raised anew on every call.
     """
+    w = _weight_filtration(N)
+    return w if center == 0 else w.recenter(center)
+
+
+@lru_cache(maxsize=32)
+def _weight_filtration(N: ExactMatrix) -> WeightFiltration:
     powers = _nilpotent_powers(N)
     d = N.rows
     nilindex = len(powers) - 1  # smallest e with N^e = 0
@@ -126,8 +134,7 @@ def monodromy_weight_filtration(N: ExactMatrix, center: int = 0) -> WeightFiltra
             break
     filt = Filtration(d, Filtration.INCREASING, steps)
     _verify_weight_axioms(N, filt, 0, powers)
-    w = WeightFiltration(filt, N, 0)
-    return w if center == 0 else w.recenter(center)
+    return WeightFiltration(filt, N, 0)
 
 
 def _verify_weight_axioms(N: ExactMatrix, filt: Filtration, center: int,

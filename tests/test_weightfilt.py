@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limithodge import exactla
-from limithodge.datum import corpus_entry
+from limithodge import exactla, l2complex, weightfilt
+from limithodge.datum import MonodromyDatum, corpus_entry
 from limithodge.exactla import (
     ExactMatrix,
     Filtration,
@@ -23,6 +25,8 @@ from limithodge.exactla import (
     rank,
     subspace_sum,
 )
+from limithodge.l2complex import build_stalk_complex, hypercohomology
+from limithodge.serialize import matrix_from_json
 from limithodge.sl2rep import build_model
 from limithodge.weightfilt import (
     AxiomFailure,
@@ -35,7 +39,9 @@ from limithodge.weightfilt import (
     monodromy_weight_filtration,
     relative_weight_check,
 )
-from limithodge.weightfilt import _nilpotent_powers, _verify_weight_axioms
+from limithodge.weightfilt import _nilpotent_powers, _verify_weight_axioms, _weight_filtration
+
+DATUMS = Path(__file__).with_name("datums")
 
 
 def _jordan(dim: int) -> ExactMatrix:
@@ -97,8 +103,10 @@ def test_jordan3_graded_dims():
 
 
 def test_not_nilpotent_rejected():
-    with pytest.raises(NotNilpotent):
-        monodromy_weight_filtration(ExactMatrix.identity(2))
+    # on every call: errors are not memoized
+    for _ in range(3):
+        with pytest.raises(NotNilpotent):
+            monodromy_weight_filtration(ExactMatrix.identity(2))
 
 
 def test_axioms_on_randomized_nilpotents():
@@ -111,9 +119,13 @@ def test_axioms_on_randomized_nilpotents():
 
 
 def test_center_shift_coherence():
+    # the recentered request comes first, so a memo that stored the shift fails
     n = _jordan(3)
-    w0 = monodromy_weight_filtration(n)
+    _weight_filtration.cache_clear()
     w3 = monodromy_weight_filtration(n, center=3)
+    w0 = monodromy_weight_filtration(n)
+    assert (w3.center, w0.center) == (3, 0)
+    assert w0.graded_dims() == {-2: 1, 0: 1, 2: 1}
     for l in range(-4, 8):
         assert w3.step(l) == w0.step(l - 3)
     assert w0.recenter(3).filtration.steps == w3.filtration.steps
@@ -124,8 +136,11 @@ def test_uniqueness_via_reconstruction():
     rng = random.Random(5)
     for _ in range(10):
         n = _random_nilpotent(rng, rng.randrange(2, 6))
+        _weight_filtration.cache_clear()
         w1 = monodromy_weight_filtration(n)
+        _weight_filtration.cache_clear()
         w2 = monodromy_weight_filtration(n)
+        assert w1 is not w2
         assert w1 == w2
         assert w1.filtration.steps == w2.filtration.steps
 
@@ -206,9 +221,32 @@ def test_row_reductions_per_filtration_grow_linearly_in_the_nilpotency_index(mon
     monkeypatch.setattr(exactla, "_row_reduce", counted)
     for N in (datum.n1, datum.n1 + datum.n2):
         e = len(_nilpotent_powers(N)) - 1
+        _weight_filtration.cache_clear()
         calls[0] = 0
         monodromy_weight_filtration(N)
-        assert calls[0] <= 5 * e, f"{calls[0]} row reductions at nilpotency index {e}"
+        assert 0 < calls[0] <= 5 * e, f"{calls[0]} row reductions at nilpotency index {e}"
+
+
+def test_cone_relative_and_stalk_steps_certify_each_filtration_once(monkeypatch):
+    """One op of cone, relative and stalk work builds W(N1) and W(N1+N2) once each."""
+    payload = json.loads((DATUMS / "gaussian-s11-plus-s10.json").read_text())
+    datum = MonodromyDatum(payload["weight"], matrix_from_json(payload["N1"]),
+                           matrix_from_json(payload["N2"]))
+    _weight_filtration.cache_clear()
+    l2complex._bilevel_pieces.cache_clear()
+    certified = []
+    verify = weightfilt._verify_weight_axioms
+
+    def recording(N, *args):
+        certified.append(N)
+        return verify(N, *args)
+
+    monkeypatch.setattr(weightfilt, "_verify_weight_axioms", recording)
+    cone_independence_report([datum.n1, datum.n2], samples=1)
+    relative_weight_check(datum.n1, datum.n2)
+    assert hypercohomology(build_stalk_complex(datum)) == (2, 0, 0)
+    assert certified.count(datum.n1 + datum.n2) == 1
+    assert certified.count(datum.n1) == 1
 
 
 # ----------------------------------------------------------------------
