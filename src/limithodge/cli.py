@@ -11,6 +11,12 @@ Exit codes: 0 success, 2 invalid input, 3 precondition violated (e.g.
 non-commuting logarithms), 4 excluded exponent, 5 internal invariant
 failure.  Errors are emitted as one JSON object on standard error.
 
+Counts are bounded: ``cone-check --samples`` takes 0 (the base filtration
+only) to ``MAX_CONE_SAMPLES`` = 100; ``oracle-compare`` needs
+0 < ``--epsilon`` < 1, ``--n-max`` >= 0 and a grid of
+4 (n_max+1)^2 (l_max-l_min+1)^2 <= ``MAX_ORACLE_CELLS`` = 4096 cells.
+Anything else exits 2, and ``oracle-compare`` exits before numpy loads.
+
 Each handler imports the library modules it runs when it runs, so a
 process loads only what its subcommand uses:
 
@@ -65,6 +71,12 @@ if TYPE_CHECKING:
     from .sl2rep import Model
 
 _REGION_FLAGS = ("d-eps", "d-eps-prime", "global")
+
+# cone-check samples at most this many coefficient vectors
+MAX_CONE_SAMPLES = 100
+# oracle-compare sweeps at most this many cells; the default grid has 1296
+# and ``--n-max 2`` over the default weights 2916
+MAX_ORACLE_CELLS = 4096
 
 
 class CliError(LimithodgeError):
@@ -329,6 +341,8 @@ def _cmd_weight_filtration(args: argparse.Namespace) -> dict:
 
 
 def _cmd_cone_check(args: argparse.Namespace) -> dict:
+    if not 0 <= args.samples <= MAX_CONE_SAMPLES:
+        raise CliError(f"--samples must be between 0 and {MAX_CONE_SAMPLES}, got {args.samples}")
     datum, digest, _ = _load_datum(args.datum)
     from .weightfilt import cone_independence_report
 
@@ -517,11 +531,20 @@ def _cmd_stalk_cohomology(args: argparse.Namespace) -> dict:
 
 
 def _cmd_oracle_compare(args: argparse.Namespace) -> dict:
+    if not 0 < args.epsilon < 1:  # also rejects nan
+        raise CliError(f"--epsilon must be a number strictly between 0 and 1, got {args.epsilon}")
+    if args.n_max < 0:
+        raise CliError(f"--n-max must be non-negative, got {args.n_max}")
+    if args.l_min > args.l_max:
+        raise CliError("empty weight range")
+    size = 4 * (args.n_max + 1) ** 2 * (args.l_max - args.l_min + 1) ** 2
+    if size > MAX_ORACLE_CELLS:
+        raise CliError(f"--n-max, --l-min and --l-max give {size} cells, "
+                       f"more than {MAX_ORACLE_CELLS}")
+    # only a grid that will be swept pays for numpy
     from .dbar import integrability_oracle
     from .l2verdict import classify_l2
 
-    if args.l_min > args.l_max:
-        raise CliError("empty weight range")
     components = (frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2}))
     cells = [
         (J, n1, n2, l1, l2)

@@ -122,6 +122,19 @@ def test_cone_check_builtin(capsys):
     assert results["samples"][0] == ["1", "1"]
 
 
+def test_cone_check_with_no_samples_checks_the_base_filtration_only(capsys):
+    results = _run_json(["cone-check", "s11", "--samples", "0"], capsys)["results"]
+    assert results["independent"] is True
+    assert results["samples"] == [["1", "1"]]
+
+
+@pytest.mark.parametrize("samples", ["-3", "101", "1000000000"])
+def test_cone_check_samples_out_of_range_exit_2(capsys, samples):
+    code, error = _run_error(["cone-check", "s11", "--samples", samples], capsys)
+    assert (code, error["kind"]) == (2, "invalid-input")
+    assert f"--samples must be between 0 and 100, got {samples}" in error["message"]
+
+
 # ----------------------------------------------------------------------
 # models: decomposition, frames, mixed structures
 
@@ -276,6 +289,29 @@ def test_oracle_compare_subgrid(capsys):
     assert results["agreements"] == 16
     assert results["all_agree"] is True
     assert results["disagreements"] == []
+
+
+def test_oracle_compare_admits_the_n_max_2_sweep(capsys):
+    results = _run_json(["oracle-compare", "--n-max", "2"], capsys)["results"]
+    assert (results["cells"], results["agreements"]) == (2916, 2916)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--epsilon", "nan"], "--epsilon must be a number strictly between 0 and 1, got nan"),
+    (["--epsilon", "-1"], "--epsilon must be a number strictly between 0 and 1, got -1.0"),
+    (["--epsilon", "1"], "--epsilon must be a number strictly between 0 and 1, got 1.0"),
+    (["--epsilon", "inf"], "--epsilon must be a number strictly between 0 and 1, got inf"),
+    (["--n-max", "-1"], "--n-max must be non-negative, got -1"),
+    (["--n-max", "3"], "give 5184 cells, more than 4096"),
+    (["--l-min", "-100", "--l-max", "100"], "give 646416 cells, more than 4096"),
+], ids=["epsilon-nan", "epsilon-negative", "epsilon-one", "epsilon-inf", "n-max-negative",
+        "n-max-3", "wide-weights"])
+def test_oracle_compare_rejects_meaningless_grids_before_numpy_loads(capsys, argv, message):
+    argv = ["oracle-compare", *argv]
+    assert _cli_in_subprocess(argv)[:4] == (2, "cli", False, False)
+    code, error = _run_error(argv, capsys)
+    assert (code, error["kind"]) == (2, "invalid-input")
+    assert message in error["message"]
 
 
 def test_end_check_builtin(capsys):
