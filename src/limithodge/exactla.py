@@ -196,9 +196,20 @@ def _scalar_row(den: int, re: Sequence[int], im: Sequence[int] | None) -> tuple[
 
 
 def _imatmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], width: int) -> list[list[int]]:
-    """Integer matrix product, accumulating rows of B over the nonzero entries of A."""
+    """Integer matrix product.
+
+    A row of A with more nonzeros than zeros takes one dot product per
+    column of B (B is transposed once, on the first such row); any other
+    row accumulates the rows of B over its nonzero entries.
+    """
     out = []
+    columns = None
     for arow in A:
+        if 2 * arow.count(0) < len(arow):
+            if columns is None:
+                columns = list(zip(*B))
+            out.append([sum(map(mul, arow, col)) for col in columns])
+            continue
         acc = [0] * width
         for a, brow in zip(arow, B):
             if a:
@@ -741,8 +752,13 @@ def _row_space(M: ExactMatrix) -> Subspace:
     return Subspace(M.cols, red.transpose(), tuple(pivots))
 
 
-def kernel(M: ExactMatrix) -> Subspace:
-    """Exact null space of M, in canonical form."""
+def _null_generators(M: ExactMatrix) -> ExactMatrix:
+    """Rows spanning the null space of M, one per free column of its RREF.
+
+    They are not in canonical form; callers that only span them (and
+    canonicalise a later image) skip the second row reduction of
+    :func:`kernel`.
+    """
     red, pivots = _row_reduce(M.re, M.im)
     pivot_set = set(pivots)
     free = [c for c in range(M.cols) if c not in pivot_set]
@@ -759,7 +775,12 @@ def kernel(M: ExactMatrix) -> Subspace:
         return gens
 
     im = None if red.im is None else generators(red.im, 0)
-    return _row_space(ExactMatrix._from_ints(M.cols, 1, generators(red.re, -red.den), im))
+    return ExactMatrix._from_ints(M.cols, 1, generators(red.re, -red.den), im)
+
+
+def kernel(M: ExactMatrix) -> Subspace:
+    """Exact null space of M, in canonical form."""
+    return _row_space(_null_generators(M))
 
 
 def image(M: ExactMatrix) -> Subspace:
@@ -773,8 +794,8 @@ def intersect(A: Subspace, B: Subspace) -> Subspace:
     if A.dim == 0 or B.dim == 0:
         return Subspace.zero(A.ambient_dim)
     # Ax = -By and Ax = By have the same solutions x up to the sign of y
-    ker = kernel(A.basis.hstack(B.basis))
-    return image(A.basis @ ker.basis._rows_at(range(A.dim)))
+    gens = _null_generators(A.basis.hstack(B.basis))
+    return image(A.basis @ gens.submatrix(range(gens.rows), range(A.dim)).transpose())
 
 
 def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
@@ -789,8 +810,8 @@ def preimage(M: ExactMatrix, B: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     if B.dim == 0:
         return kernel(M)
-    ker = kernel(M.hstack(B.basis))  # Mv = By for some y, up to the sign of y
-    return image(ker.basis._rows_at(range(M.cols)))
+    gens = _null_generators(M.hstack(B.basis))  # Mv = By for some y, up to the sign of y
+    return _row_space(gens.submatrix(range(gens.rows), range(M.cols)))
 
 
 def apply_to_subspace(M: ExactMatrix, V: Subspace) -> Subspace:

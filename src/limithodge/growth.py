@@ -9,7 +9,6 @@ decided exactly at that level.  No numeric norm is ever evaluated.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,16 +84,16 @@ class MonodromizedSection:
 
 
 def minimal_weight(v: Sequence[Scalar], W: WeightFiltration) -> int:
-    """Smallest centered index l with v in W_l (ValueError on zero input)."""
-    if all(not x for x in v):
+    """Smallest index l with v in W_l (ValueError on zero input).
+
+    v lies in W_l exactly when its coordinates in W's adapted basis
+    vanish above weight l, so l is the highest weight of a nonzero one.
+    """
+    Q, weights = W.adapted
+    nonzero = [w for w, c in zip(weights, Q.apply(v)) if c]
+    if not nonzero:
         raise ValueError("the zero vector has no minimal weight")
-    levels = W.filtration.graded_range()
-    indices = range(levels[0], levels[-1] + 1)
-    # the steps are nested, so membership is monotone in l
-    i = bisect_left(indices, True, key=lambda l: W.step(l).contains_vector(v))
-    if i == len(indices):
-        raise ValueError("vector escapes the weight filtration")
-    return indices[i]
+    return max(nonzero)
 
 
 def section_from_datum(v: Sequence[Scalar], N1: ExactMatrix, N2: ExactMatrix,
@@ -105,10 +104,14 @@ def section_from_datum(v: Sequence[Scalar], N1: ExactMatrix, N2: ExactMatrix,
     both centered at zero.
     """
     commuting_check([N1, N2])
-    vv = tuple(v if isinstance(v, tuple) else tuple(v))
-    l1 = minimal_weight(vv, _weight_filtration(N1))
-    l2 = minimal_weight(vv, _weight_filtration(N1 + N2))
-    return MonodromizedSection(vv, (l1, l2), label)
+    return _section(v, _weight_filtration(N1), _weight_filtration(N1 + N2), label)
+
+
+def _section(v: Sequence[Scalar], W1: WeightFiltration, W12: WeightFiltration,
+             label: tuple[int, int] | None = None) -> MonodromizedSection:
+    """section_from_datum given W(N1) and W(N1 + N2) of a checked pair."""
+    vv = tuple(v)
+    return MonodromizedSection(vv, (minimal_weight(vv, W1), minimal_weight(vv, W12)), label)
 
 
 def check_section(s: MonodromizedSection, N1: ExactMatrix, N2: ExactMatrix) -> None:
@@ -159,13 +162,15 @@ def theta_apply_class(s: MonodromizedSection, i: int, N1: ExactMatrix,
     if i not in (1, 2):
         raise ValueError("direction must be 1 or 2")
     first, second = (N1, N2) if region == D_EPS else (N2, N1)
-    src = section_from_datum(s.flat_vector, first, second)
+    commuting_check([first, second])
+    W1, W12 = _weight_filtration(first), _weight_filtration(first + second)
+    src = _section(s.flat_vector, W1, W12)
     source_class = hodge_norm_class(src, region)
     Ni = N1 if i == 1 else N2
     image = Ni.apply(s.flat_vector)
     if all(not x for x in image):
         return ThetaClass(GrowthClass.zero(region), source_class, None, True)
-    target = section_from_datum(image, first, second)
+    target = _section(image, W1, W12)
     metric = GrowthClass((0, 0), (2, 0) if i == 1 else (0, 2), region)
     form = hodge_norm_class(target, region) + metric
     bounded = (form.t_orders == source_class.t_orders

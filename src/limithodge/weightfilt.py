@@ -9,7 +9,7 @@ any filtration is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -19,11 +19,11 @@ from .exactla import (
     ExactMatrix,
     Filtration,
     Subspace,
+    _null_generators,
     induced_filtration_on_graded,
     image,
     induced_map_on_graded,
-    kernel,
-    maps_into,
+    inverse,
     rank,
 )
 
@@ -56,6 +56,9 @@ class WeightFiltration:
     filtration: Filtration
     nilpotent: ExactMatrix
     center: int
+    # (Q, weights): Q inverts the adapted basis whose column j spans part of
+    # Gr_{weights[j]}, so v lies in W_l exactly when (Qv)_j = 0 for weights[j] > l
+    adapted: tuple[ExactMatrix, tuple[int, ...]] = field(compare=False)
 
     def step(self, l: int) -> Subspace:
         return self.filtration.step(l)
@@ -65,8 +68,10 @@ class WeightFiltration:
 
     def recenter(self, center: int) -> "WeightFiltration":
         """The same filtration re-indexed so the symmetry center moves."""
-        return WeightFiltration(self.filtration.shift(center - self.center),
-                                self.nilpotent, center)
+        offset = center - self.center
+        Q, weights = self.adapted
+        return WeightFiltration(self.filtration.shift(offset), self.nilpotent, center,
+                                (Q, tuple(w + offset for w in weights)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightFiltration):
@@ -118,13 +123,15 @@ def _weight_filtration(N: ExactMatrix) -> WeightFiltration:
     d = N.rows
     nilindex = len(powers) - 1  # smallest e with N^e = 0
 
-    # kernels[a] = ker N^a for a = 1..e; N^e = 0, so the last is the whole space
-    kernels = [None, *(kernel(powers[a]) for a in range(1, nilindex)), Subspace.full(d)]
+    # generators of ker N^a for a = 1..e, as columns; N^e = 0, so the last is the
+    # whole space.  They are only spanned, and each step's image is canonical.
+    kernels = [None, *(_null_generators(powers[a]).transpose() for a in range(1, nilindex)),
+               ExactMatrix.identity(d)]
 
     steps: list[tuple[int, Subspace]] = []
     prev: Subspace | None = None
     for k in range(-nilindex, nilindex + 1):
-        terms = [powers[j] @ kernels[min(k + 2 * j + 1, nilindex)].basis
+        terms = [powers[j] @ kernels[min(k + 2 * j + 1, nilindex)]
                  for j in range(max(0, -k), nilindex)]
         acc = image(terms[0].hstack(*terms[1:])) if terms else Subspace.zero(d)
         if prev is None or acc != prev:
@@ -133,28 +140,42 @@ def _weight_filtration(N: ExactMatrix) -> WeightFiltration:
         if acc.dim == d:
             break
     filt = Filtration(d, Filtration.INCREASING, steps)
-    _verify_weight_axioms(N, filt, 0, powers)
-    return WeightFiltration(filt, N, 0)
+    return WeightFiltration(filt, N, 0, _verify_weight_axioms(N, filt))
 
 
-def _verify_weight_axioms(N: ExactMatrix, filt: Filtration, center: int,
-                          powers: Sequence[ExactMatrix]) -> None:
-    """Both axioms, given ``powers`` = [N^0, ..., N^e] ending at the first zero power."""
-    lo = min(filt.indices()) - 1
-    hi = max(filt.indices()) + 1
-    for l in range(lo, hi + 1):
-        if not maps_into(N, filt.step(l), filt.step(l - 2)):
+def _verify_weight_axioms(N: ExactMatrix, filt: Filtration) -> tuple[ExactMatrix, tuple[int, ...]]:
+    """Both axioms of the weight filtration centered at 0, checked in an adapted basis.
+
+    P joins the graded bases in increasing weight, so W_l is spanned by
+    the columns of weight <= l, and A = Q N P (Q = P^-1) is N in that
+    basis.  N W_l <= W_{l-2} for every l exactly when A_ij = 0 whenever
+    weight(i) > weight(j) - 2, so the first l that fails is the least
+    weight of a column with such an entry.  The map N^l induces from
+    Gr_l to Gr_{-l} is the block of A^l between those weights.  Returns
+    (Q, the column weights).
+    """
+    levels = filt.graded_range()
+    bases = [filt.graded_basis(l) for l in levels]
+    P = ExactMatrix.zeros(filt.ambient_dim, 0).hstack(*bases)
+    if P.cols != P.rows:
+        raise AxiomFailure("the filtration does not exhaust the space")
+    weights = tuple(l for l, basis in zip(levels, bases) for _ in range(basis.cols))
+    at = {l: [j for j, w in enumerate(weights) if w == l] for l in levels}
+    Q = inverse(P)
+    A = Q @ (N @ P)
+    for l in levels:
+        above = [i for i, w in enumerate(weights) if w > l - 2]
+        if not A.submatrix(above, at[l]).is_zero():
             raise AxiomFailure(f"N does not map W_{l} into W_{l-2}")
-    for l in range(1, hi - center + 1):
-        src, tgt = center + l, center - l
-        g_src, g_tgt = filt.graded_dim(src), filt.graded_dim(tgt)
-        if g_src != g_tgt:
+    power = ExactMatrix.identity(P.rows)
+    for l in range(1, max(map(abs, weights), default=0) + 1):
+        power = power @ A
+        src, tgt = at.get(l, []), at.get(-l, [])
+        if len(src) != len(tgt):
             raise AxiomFailure(f"graded dims differ at +-{l} about the center")
-        if g_src == 0:
-            continue
-        m = induced_map_on_graded(powers[min(l, len(powers) - 1)], filt, src, shift=tgt - src)
-        if rank(m) != g_src:
-            raise AxiomFailure(f"N^{l} is not an isomorphism Gr_{src} -> Gr_{tgt}")
+        if src and rank(power.submatrix(tgt, src)) != len(src):
+            raise AxiomFailure(f"N^{l} is not an isomorphism Gr_{l} -> Gr_{-l}")
+    return Q, weights
 
 
 def commuting_check(Ns: Sequence[ExactMatrix]) -> None:
@@ -170,6 +191,12 @@ def cone_filtration(Ns: Sequence[ExactMatrix],
     if len(Ns) != len(lambdas) or not Ns:
         raise ValueError("need matching nonempty matrix and coefficient lists")
     commuting_check(Ns)
+    return _cone_filtration(Ns, lambdas)
+
+
+def _cone_filtration(Ns: Sequence[ExactMatrix],
+                     lambdas: Sequence[Fraction | int]) -> WeightFiltration:
+    """cone_filtration of a family already checked to commute, one coefficient each."""
     lams = [Fraction(l) for l in lambdas]
     if any(l <= 0 for l in lams):
         raise NonPositiveCoefficient(f"coefficients must be positive, got {lams}")
@@ -190,13 +217,13 @@ def cone_independence_report(Ns: Sequence[ExactMatrix], samples: int = 10,
     import random
 
     rng = random.Random(seed)
-    base = cone_filtration(Ns, [1] * len(Ns))
+    base = cone_filtration(Ns, [1] * len(Ns))  # checks once that the Ns commute
     tried: list[list[str]] = [["1"] * len(Ns)]
     independent = True
     for _ in range(samples):
         lams = [Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in Ns]
         tried.append([str(l) for l in lams])
-        if cone_filtration(Ns, lams) != base:
+        if _cone_filtration(Ns, lams) != base:
             independent = False
             break
     return {

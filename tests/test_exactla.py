@@ -406,16 +406,28 @@ def _columns(M: ExactMatrix) -> list[list[Pair]]:
 _small = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 _large = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30))
 _rationals = st.one_of(st.just(Fraction(0)), _small, _large)
+_nonzero_rationals = st.one_of(_small, _large).filter(bool)
 
 
 @st.composite
 def _matrices(draw, rows=None, cols=None) -> ExactMatrix:
     """Rational or Gaussian matrices up to 5x5 (0xn and nx0 included), some
-    with a zero row, a zero column, or a repeated or scaled row."""
+    with mostly-zero or zero-free rows, a zero row, a zero column, or a
+    repeated or scaled row.  Products take dot products on a row with more
+    nonzeros than zeros and accumulate over the nonzeros of any other row,
+    so both kinds of row are drawn on purpose."""
     r = draw(st.integers(0, 5)) if rows is None else rows
     c = draw(st.integers(0, 5)) if cols is None else cols
     imag = _rationals if draw(st.booleans()) else st.just(Fraction(0))
-    grid = [[Scalar(draw(_rationals), draw(imag)) for _ in range(c)] for _ in range(r)]
+    grid = []
+    for _ in range(r):
+        kind = draw(st.sampled_from(["any", "zero-free", "mostly-zero"]))
+        real = _nonzero_rationals if kind == "zero-free" else _rationals
+        row = [Scalar(draw(real), draw(imag)) for _ in range(c)]
+        if kind == "mostly-zero" and c:
+            keep = draw(st.integers(0, c - 1))
+            row = [a if j == keep else ZERO for j, a in enumerate(row)]
+        grid.append(row)
     if r and draw(st.booleans()):
         grid[draw(st.integers(0, r - 1))] = [ZERO] * c
     if c and draw(st.booleans()):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from limithodge.datum import standard_corpus
 from limithodge.exactla import ExactMatrix, Scalar, scalar
@@ -22,6 +23,7 @@ from limithodge.growth import (
 from limithodge.hodgestruct import PolarizationForm, filtration_to_bigrading, weil_and_metric
 from limithodge.sl2rep import alpha_basis, build_model, isotypic_decomposition
 from limithodge.weightfilt import monodromy_weight_filtration
+from test_weightfilt import _conjugated_nilpotents
 
 
 def _model_frame(m: int, n: int):
@@ -55,13 +57,25 @@ def _scanned_minimal_weight(v, W) -> int:
     raise ValueError("vector escapes the weight filtration")
 
 
+def _assert_minimal_weights_match_a_linear_scan(N: ExactMatrix) -> None:
+    W = monodromy_weight_filtration(N)
+    for _, step in W.filtration.steps:
+        # each canonical basis vector, and their sum, which mixes graded levels
+        for v in [*step.basis_columns(), step.basis.apply([1] * step.dim)]:
+            if any(v):
+                assert minimal_weight(v, W) == _scanned_minimal_weight(v, W)
+
+
 def test_minimal_weight_matches_a_linear_scan_on_the_corpus():
     for datum in standard_corpus():
         for N in (datum.n1, datum.n1 + datum.n2):
-            W = monodromy_weight_filtration(N)
-            for _, step in W.filtration.steps:
-                for v in step.basis_columns():
-                    assert minimal_weight(v, W) == _scanned_minimal_weight(v, W)
+            _assert_minimal_weights_match_a_linear_scan(N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_conjugated_nilpotents())
+def test_minimal_weight_matches_a_linear_scan_on_gaussian_conjugates(N):
+    _assert_minimal_weights_match_a_linear_scan(N)
 
 
 def test_section_weights_use_both_orderings():

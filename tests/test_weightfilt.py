@@ -151,7 +151,40 @@ def test_shift_axiom_violation_is_reported():
     filt = Filtration.from_generators(2, Filtration.INCREASING,
                                       [(0, [[1, 0]]), (1, [[1, 0], [0, 1]])])
     with pytest.raises(AxiomFailure, match="N does not map W_1 into W_-1"):
-        _verify_weight_axioms(n, filt, 0, [ExactMatrix.identity(2), n, n @ n])
+        _verify_weight_axioms(n, filt)
+
+
+@pytest.mark.parametrize("n, steps, message", [
+    # N = 0 kills Gr_1 -> Gr_-1
+    (ExactMatrix.zeros(2, 2), [(-1, [[1, 0]]), (1, [[1, 0], [0, 1]])],
+     "N\\^1 is not an isomorphism Gr_1 -> Gr_-1"),
+    # N e3 = e2 respects W(J3)'s steps, but N^2 = 0 kills Gr_2 -> Gr_-2
+    (ExactMatrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+     [(-2, [[1, 0, 0]]), (0, [[1, 0, 0], [0, 1, 0]]), (2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])],
+     "N\\^2 is not an isomorphism Gr_2 -> Gr_-2"),
+    # all of the space at weight -2, nothing at 2
+    (ExactMatrix.zeros(1, 1), [(-2, [[1]])], "graded dims differ at \\+-2 about the center"),
+])
+def test_graded_isomorphism_violation_is_reported(n, steps, message):
+    filt = Filtration.from_generators(n.rows, Filtration.INCREASING, steps)
+    with pytest.raises(AxiomFailure, match=message):
+        _verify_weight_axioms(n, filt)
+
+
+def test_filtration_that_does_not_exhaust_the_space_is_reported():
+    filt = Filtration.from_generators(2, Filtration.INCREASING, [(0, [[1, 0]])])
+    with pytest.raises(AxiomFailure, match="does not exhaust the space"):
+        _verify_weight_axioms(ExactMatrix.zeros(2, 2), filt)
+
+
+def test_adapted_basis_inverts_the_graded_bases_and_follows_recentering():
+    w = monodromy_weight_filtration(_jordan(3))
+    Q, weights = w.adapted
+    assert weights == (-2, 0, 2)
+    assert Q @ ExactMatrix.from_columns([v for l in (-2, 0, 2)
+                                         for v in w.filtration.graded_basis(l).columns()]) \
+        == ExactMatrix.identity(3)
+    assert w.recenter(3).adapted == (Q, (1, 3, 5))
 
 
 # ----------------------------------------------------------------------
