@@ -692,14 +692,6 @@ class Subspace:
         return (dw * B.den, _combine(_scaled(wre, B.den), pre, -1),
                 _combine(None if wim is None else _scaled(wim, B.den), pim, -1))
 
-    def reduce_mod(self, v: Sequence[ScalarLike]) -> tuple[Scalar, ...]:
-        """Subtract the canonical projection onto this subspace.
-
-        The residual has zeros at all pivot coordinates; for v in the
-        subspace it is 0.
-        """
-        return _scalar_row(*self._residual(v))
-
     def contains_vector(self, v: Sequence[ScalarLike]) -> bool:
         _, re, im = self._residual(v)
         return not any(re) and (im is None or not any(im))
@@ -798,20 +790,11 @@ def intersect(A: Subspace, B: Subspace) -> Subspace:
     return image(A.basis @ gens.submatrix(range(gens.rows), range(A.dim)).transpose())
 
 
-def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
-    if A.ambient_dim != B.ambient_dim:
+def subspace_sum(first: Subspace, *others: Subspace) -> Subspace:
+    """The span of all the given subspaces, in one image."""
+    if any(o.ambient_dim != first.ambient_dim for o in others):
         raise ValueError("ambient dimension mismatch")
-    return image(A.basis.hstack(B.basis))
-
-
-def preimage(M: ExactMatrix, B: Subspace) -> Subspace:
-    """The subspace {v : Mv in B}."""
-    if M.rows != B.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if B.dim == 0:
-        return kernel(M)
-    gens = _null_generators(M.hstack(B.basis))  # Mv = By for some y, up to the sign of y
-    return _row_space(gens.submatrix(range(gens.rows), range(M.cols)))
+    return image(first.basis.hstack(*(o.basis for o in others)))
 
 
 def apply_to_subspace(M: ExactMatrix, V: Subspace) -> Subspace:
@@ -835,14 +818,6 @@ def matrix_between(M: ExactMatrix, V: Subspace, U: Subspace) -> ExactMatrix:
 def maps_into(M: ExactMatrix, V: Subspace, U: Subspace) -> bool:
     """Whether M maps the subspace V into the subspace U."""
     return _pivot_coordinates(U, M @ V.basis) is not None
-
-
-def restrict_to_subspace(M: ExactMatrix, V: Subspace) -> ExactMatrix:
-    """Matrix of M restricted to an invariant subspace, in V's canonical basis.
-
-    Raises ValueError if M does not map V into itself.
-    """
-    return matrix_between(M, V, V)
 
 
 def solve(A: ExactMatrix, b: Sequence[ScalarLike]) -> tuple[Scalar, ...] | None:

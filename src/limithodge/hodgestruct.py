@@ -359,32 +359,27 @@ def deligne_bigrading(m: MixedHodge) -> Bigrading:
             Wl = m.W.step(p + q)
             if Wl.dim == 0:
                 continue
-            acc = intersect(cF(q), Wl)
+            terms = [intersect(cF(q), Wl)]
             j = 1
             while p + q - j - 1 >= w_lo - 1:
                 Wj = m.W.step(p + q - j - 1)
                 if Wj.dim == 0:
                     break
-                acc = subspace_sum(acc, intersect(cF(q - j), Wj))
+                terms.append(intersect(cF(q - j), Wj))
                 j += 1
-            piece = intersect(intersect(m.F.step(p), Wl), acc)
+            piece = intersect(intersect(m.F.step(p), Wl), subspace_sum(*terms))
             if piece.dim:
                 pieces[(p, q)] = piece
     if sum(sub.dim for sub in pieces.values()) != d:
         raise RuntimeError("canonical bigrading does not fill the space")
+    zero = Subspace.zero(d)
     for l in m.W.indices():
-        acc = Subspace.zero(d)
-        for (p, q), sub in pieces.items():
-            if p + q <= l:
-                acc = subspace_sum(acc, sub)
-        if acc != m.W.step(l):
+        below = (sub for (p, q), sub in pieces.items() if p + q <= l)
+        if subspace_sum(zero, *below) != m.W.step(l):
             raise RuntimeError("canonical bigrading does not split W")
     for p in fidx:
-        acc = Subspace.zero(d)
-        for (r, s), sub in pieces.items():
-            if r >= p:
-                acc = subspace_sum(acc, sub)
-        if acc != m.F.step(p):
+        above = (sub for (r, _), sub in pieces.items() if r >= p)
+        if subspace_sum(zero, *above) != m.F.step(p):
             raise RuntimeError("canonical bigrading does not split F")
     return pieces
 
@@ -406,12 +401,10 @@ def bigrading_morphism_check(m: MixedHodge, X: ExactMatrix,
     Checks X(I^{p,q}) ⊆ sum of I^{p',q'} over p' <= p + r, q' <= q + s.
     """
     pieces = deligne_bigrading(m)
-    d = m.ambient_dim
+    zero = Subspace.zero(m.ambient_dim)
     for (p, q), sub in pieces.items():
-        target = Subspace.zero(d)
-        for (pp, qq), other in pieces.items():
-            if pp <= p + r and qq <= q + s:
-                target = subspace_sum(target, other)
+        target = subspace_sum(zero, *(other for (pp, qq), other in pieces.items()
+                                      if pp <= p + r and qq <= q + s))
         if not maps_into(X, sub, target):
             return False
     return True

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -38,13 +37,12 @@ from .exactla import (
     conj_vector,
     exp_nilpotent,
     image,
-    intersect,
     inverse,
     kernel,
     kron,
     maps_into,
     matrix_between,
-    restrict_to_subspace,
+    rank,
     solve,
     subspace_sum,
     vstack,
@@ -158,10 +156,8 @@ class Model:
     def hodge_filtration(self) -> Filtration:
         """The decreasing filtration F^p = sum of the (p', q') pieces with p' >= p."""
         ps = sorted({p for p, _ in self.bigrading})
-        steps = []
-        for p in ps:
-            gens = [sub.basis for (pp, _), sub in self.bigrading.items() if pp >= p]
-            steps.append((p, image(reduce(ExactMatrix.hstack, gens))))
+        steps = [(p, subspace_sum(*(sub for (pp, _), sub in self.bigrading.items() if pp >= p)))
+                 for p in ps]
         steps.append((ps[-1] + 1, Subspace.zero(self.dim)))
         return Filtration(self.dim, Filtration.DECREASING, steps)
 
@@ -264,24 +260,24 @@ def _etype_model(p: int, q: int) -> Model:
     return Model(p + q, bigrading, action, S, ["e1", "e2"])
 
 
+def _generatorwise(f: Callable[..., ExactMatrix], *actions: Sl2PairAction) -> Sl2PairAction:
+    """The pair action whose generators are f of the matching generators of the actions."""
+    gens = [f(*mats) for mats in zip(*(a.generators() for a in actions))]
+    # generators() lists (N-, Y, N+) of copy 0, then of copy 1
+    return Sl2PairAction(tuple(gens[0::3]), tuple(gens[1::3]), tuple(gens[2::3]))
+
+
 def tensor_models(A: Model, B: Model) -> Model:
     """Tensor product model: actions by the Leibniz rule, forms by products."""
     ia, ib = ExactMatrix.identity(A.dim), ExactMatrix.identity(B.dim)
-
-    def mix(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
-        return kron(x, ib) + kron(ia, y)
-
-    action = Sl2PairAction(
-        tuple(mix(A.action.nminus[j], B.action.nminus[j]) for j in (0, 1)),
-        tuple(mix(A.action.y[j], B.action.y[j]) for j in (0, 1)),
-        tuple(mix(A.action.nplus[j], B.action.nplus[j]) for j in (0, 1)),
-    )
-    bigrading: Bigrading = {}
+    action = _generatorwise(lambda x, y: kron(x, ib) + kron(ia, y), A.action, B.action)
+    spans: dict[tuple[int, int], list[ExactMatrix]] = {}
     for (p1, q1), s1 in A.bigrading.items():
         for (p2, q2), s2 in B.bigrading.items():
-            key = (p1 + p2, q1 + q2)
-            piece = image(kron(s1.basis, s2.basis))  # spanned by the u (x) v
-            bigrading[key] = subspace_sum(bigrading[key], piece) if key in bigrading else piece
+            # the (p, q) piece is spanned by the u (x) v with types adding to (p, q)
+            spans.setdefault((p1 + p2, q1 + q2), []).append(kron(s1.basis, s2.basis))
+    bigrading: Bigrading = {key: image(ExactMatrix.hstack(*blocks))
+                            for key, blocks in spans.items()}
     labels = [f"{x}*{y}" for x in A.labels for y in B.labels]
     return Model(A.weight + B.weight, bigrading, action,
                  kron(A.polarization, B.polarization), labels)
@@ -316,11 +312,7 @@ def direct_sum_models(models: Sequence[Model]) -> Model:
     k = models[0].weight
     if any(mo.weight != k for mo in models):
         raise ValueError("direct summands must share a single weight")
-    action = Sl2PairAction(
-        tuple(block_diag([mo.action.nminus[j] for mo in models]) for j in (0, 1)),
-        tuple(block_diag([mo.action.y[j] for mo in models]) for j in (0, 1)),
-        tuple(block_diag([mo.action.nplus[j] for mo in models]) for j in (0, 1)),
-    )
+    action = _generatorwise(lambda *blocks: block_diag(blocks), *(mo.action for mo in models))
     bigrading: Bigrading = {}
     keys = sorted({key for mo in models for key in mo.bigrading})
     for key in keys:
@@ -334,11 +326,7 @@ def direct_sum_models(models: Sequence[Model]) -> Model:
 def transport_model(model: Model, P: ExactMatrix) -> Model:
     """Transport all structure through an invertible change of basis P."""
     Pinv = inverse(P)
-    action = Sl2PairAction(
-        tuple(P @ model.action.nminus[j] @ Pinv for j in (0, 1)),
-        tuple(P @ model.action.y[j] @ Pinv for j in (0, 1)),
-        tuple(P @ model.action.nplus[j] @ Pinv for j in (0, 1)),
-    )
+    action = _generatorwise(lambda X: P @ X @ Pinv, model.action)
     bigrading = {key: apply_to_subspace(P, sub) for key, sub in model.bigrading.items()}
     S = Pinv.transpose() @ model.polarization @ Pinv
     return Model(model.weight, bigrading, action, S, list(model.labels))
@@ -349,7 +337,7 @@ def transport_model(model: Model, P: ExactMatrix) -> Model:
 
 
 def operator_from_bigrading(bigrading: Bigrading,
-                            eigenvalue: Callable[[int, int], "ScalarLike"]) -> ExactMatrix:
+                            eigenvalue: Callable[[int, int], ScalarLike]) -> ExactMatrix:
     """The semisimple operator acting by eigenvalue(p, q) on each piece.
 
     Raises ValueError when the pieces fail to decompose the ambient
@@ -361,7 +349,7 @@ def operator_from_bigrading(bigrading: Bigrading,
     items = sorted(bigrading.items())
     if any(sub.ambient_dim != ambient for _, sub in items):
         raise ValueError("mixed ambient dimensions in bigrading")
-    B = reduce(ExactMatrix.hstack, [sub.basis for _, sub in items])
+    B = ExactMatrix.hstack(*(sub.basis for _, sub in items))
     if B.cols != ambient:
         raise ValueError("bigrading pieces do not sum to the ambient dimension")
     eigs = [eigenvalue(p, q) for (p, q), sub in items for _ in range(sub.dim)]
@@ -587,16 +575,14 @@ def isotypic_decomposition(bigrading: Bigrading, action: Sl2PairAction,
 
     n1m, n2m = action.nminus
     y1, y2 = action.y
-    lowest = intersect(kernel(n1m), kernel(n2m))
+    lowest = kernel(vstack([n1m, n2m]))
     r_op = t_op + action.torus_generator(0) + action.torus_generator(1)
     wmax = max(abs(p - q) for p, q in bigrading)
 
     # work in lowest-space coordinates; Y1, Y2, R all preserve it
     kappa = lowest.dim
     try:
-        y1k = restrict_to_subspace(y1, lowest)
-        y2k = restrict_to_subspace(y2, lowest)
-        rk = restrict_to_subspace(r_op, lowest)
+        y1k, y2k, rk = (matrix_between(X, lowest, lowest) for X in (y1, y2, r_op))
     except ValueError as exc:
         raise DecompositionError(f"lowest-weight space is not invariant: {exc}")
     idk = ExactMatrix.identity(kappa)
@@ -604,11 +590,12 @@ def isotypic_decomposition(bigrading: Bigrading, action: Sl2PairAction,
     factors: list[IrreducibleFactor] = []
     accounted = 0
     for m in range(ambient):
-        em = kernel(y1k + idk.scale(m))
-        if em.dim == 0:
+        ym = y1k + idk.scale(m)
+        if rank(ym) == kappa:
             continue
         for n in range(ambient):
-            emn = intersect(em, kernel(y2k + idk.scale(n)))
+            ymn = vstack([ym, y2k + idk.scale(n)])
+            emn = kernel(ymn)
             if emn.dim == 0:
                 continue
             accounted += emn.dim * (m + 1) * (n + 1)
@@ -623,7 +610,7 @@ def isotypic_decomposition(bigrading: Bigrading, action: Sl2PairAction,
                 return bilinear(S, u, apow.apply(conj_vector(v)))
 
             for w in range(0, wmax + 1):
-                mwk = intersect(emn, kernel(rk - idk.scale(w)))
+                mwk = kernel(vstack([ymn, rk - idk.scale(w)]))
                 if mwk.dim == 0:
                     continue
                 if (k - m - n - w) % 2 != 0:
@@ -646,7 +633,7 @@ def isotypic_decomposition(bigrading: Bigrading, action: Sl2PairAction,
                         factors.append(IrreducibleFactor(
                             "S" if l == 0 else "H", m, n, k, emb, l=l))
                 else:
-                    mwk_conj = intersect(emn, kernel(rk + idk.scale(w)))
+                    mwk_conj = kernel(vstack([ymn, rk + idk.scale(w)]))
                     if mwk_conj.dim != mwk.dim:
                         raise DecompositionError(
                             "conjugate grading eigenspaces have unequal dimensions")
@@ -689,20 +676,16 @@ def _verify_decomposition(bigrading: Bigrading, action: Sl2PairAction,
             model = build_model("E", f.m, f.n, p=f.p, q=f.q)
         else:
             model = build_model(f.kind, f.m, f.n, l=f.l)
-        sub = f.subspace()
-        if sub.dim != f.dim:
+        E = f.embedding
+        if rank(E) != f.dim:
             raise DecompositionError("embedding columns are dependent")
-        # the embedding columns in sub's canonical basis: a change of basis
-        E = matrix_between(f.embedding, Subspace.full(f.dim), sub)
-        E_inv = inverse(E)
-        # the restricted action must reproduce the model matrices verbatim
-        pairs = zip(action.generators(), model.action.generators())
-        for big, small in pairs:
-            try:
-                got = E_inv @ restrict_to_subspace(big, sub) @ E
-            except ValueError:
-                raise DecompositionError("factor is not invariant under the action") from None
-            if got != small:
+        # with independent columns, X E = E X_model says the span of E is
+        # invariant and X acts on it by the model matrix, verbatim
+        for big, small in zip(action.generators(), model.action.generators()):
+            if big @ E != E @ small:
+                sub = f.subspace()
+                if not maps_into(big, sub, sub):
+                    raise DecompositionError("factor is not invariant under the action")
                 raise DecompositionError(
                     f"restricted action differs from the {f.params()} model")
     if S is not None:
@@ -729,9 +712,9 @@ def alpha_basis(factor: IrreducibleFactor, action: Sl2PairAction,
     if factor.kind != "S":
         raise WrongKind(f"alpha basis requires kind 'S', got {factor.kind!r}")
     m, n = factor.m, factor.n
-    sub = factor.subspace()
-    line = intersect(intersect(sub, kernel(action.horizontal_lowering(0))),
-                     kernel(action.horizontal_lowering(1)))
+    lowering = vstack([action.horizontal_lowering(0), action.horizontal_lowering(1)])
+    # the factor's vectors E c killed by both lowering operators
+    line = apply_to_subspace(factor.embedding, kernel(lowering @ factor.embedding))
     if line.dim != 1:
         raise WrongKind("factor has no unique horizontal-lowest line")
     top = _normalize_leading(line.basis.column(0))

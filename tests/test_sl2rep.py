@@ -250,6 +250,26 @@ def test_verification_rejects_non_orthogonal_factors():
                               [first, skewed], model.weight)
 
 
+@pytest.mark.parametrize("forge, message", [
+    (lambda cols, h: [cols[0], cols[0], *cols[2:]], "embedding columns are dependent"),
+    (lambda cols, h: [tuple(a + b for a, b in zip(cols[0], h)), *cols[1:]],
+     "factor is not invariant under the action"),
+    (lambda cols, h: [tuple(2 * a for a in cols[0]), *cols[1:]],
+     "restricted action differs from the ('S', 1, 1, 0) model"),
+])
+def test_verification_rejects_forged_factor_embeddings(forge, message):
+    model = direct_sum_models([build_model("S", 1, 1), build_model("H", 0, 0, l=1)])
+    factors = isotypic_decomposition(model.bigrading, model.action, model.polarization)
+    (s_index, s_factor), = [(i, f) for i, f in enumerate(factors) if f.kind == "S"]
+    h_column, = next(f for f in factors if f.kind == "H").embedding.columns()
+    cols = forge(s_factor.embedding.columns(), h_column)
+    factors[s_index] = dataclasses.replace(
+        s_factor, embedding=ExactMatrix.from_columns(cols, ambient_dim=model.dim))
+    with pytest.raises(DecompositionError, match=re.escape(message)):
+        _verify_decomposition(model.bigrading, model.action, model.polarization,
+                              factors, model.weight)
+
+
 def test_decomposition_rejects_nonhorizontal_bigrading():
     model = build_model("S", 1)
     fake = {
