@@ -14,8 +14,11 @@ failure.  Errors are emitted as one JSON object on standard error.
 Counts are bounded: ``cone-check --samples`` takes 0 (the base filtration
 only) to ``MAX_CONE_SAMPLES`` = 100; ``oracle-compare`` needs
 0 < ``--epsilon`` < 1, ``--n-max`` >= 0 and a grid of
-4 (n_max+1)^2 (l_max-l_min+1)^2 <= ``MAX_ORACLE_CELLS`` = 4096 cells.
-Anything else exits 2, and ``oracle-compare`` exits before numpy loads.
+4 (n_max+1)^2 (l_max-l_min+1)^2 <= ``MAX_ORACLE_CELLS`` = 4096 cells; a
+datum's ``model`` spec has dimension at most ``MAX_MODEL_DIM`` = 64, summed
+over a ``sum``, and |l|, |p|, |q| at most ``MAX_MODEL_TWIST`` = 16.
+Anything else exits 2, and ``oracle-compare`` exits before numpy loads; an
+oversized model spec exits before any model is built.
 
 Each handler imports the library modules it runs when it runs, so a
 process loads only what its subcommand uses:
@@ -77,6 +80,13 @@ MAX_CONE_SAMPLES = 100
 # oracle-compare sweeps at most this many cells; the default grid has 1296
 # and ``--n-max 2`` over the default weights 2916
 MAX_ORACLE_CELLS = 4096
+# a datum's model spec may have at most this dimension, summed over a "sum"
+# ((m+1)(n+1) per S or H factor, twice that per E factor); the corpus and
+# the benchmark's specs stay at or below 12
+MAX_MODEL_DIM = 64
+# and |l|, |p|, |q| at most this: mhs-check on E(p, 0) takes about 0.35 s at
+# p = 16 and 5.6 s at p = 64
+MAX_MODEL_TWIST = 16
 
 
 class CliError(LimithodgeError):
@@ -125,23 +135,52 @@ def _model_from_spec(spec: Any) -> Model:
 
     {"kind": "S"|"H"|"E", "m":, "n":, "l":, "p":, "q":} for one factor,
     {"sum": [spec, ...]} for a direct sum; an optional "transport" matrix
-    conjugates the result out of the split basis.
+    conjugates the result out of the split basis.  The whole spec is
+    checked against ``MAX_MODEL_DIM`` and ``MAX_MODEL_TWIST`` before any
+    model is built.
     """
+    try:
+        dim = _spec_dimension(spec)
+        if dim > MAX_MODEL_DIM:
+            raise ValueError(f"model dimension (m, n, sum) must be at most {MAX_MODEL_DIM}, "
+                             f"got {dim}")
+        return _build_spec(spec)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"bad model spec: {exc}") from exc
+
+
+def _spec_fields(spec: Any) -> dict[str, int]:
+    """The integer fields of a one-factor spec, each checked; missing ones are 0."""
+    if not isinstance(spec, dict):
+        raise CliError("model spec must be an object")
+    fields = {key: _integer(key, spec.get(key, 0)) for key in "mnlpq"}
+    for key in "lpq":
+        if abs(fields[key]) > MAX_MODEL_TWIST:
+            raise ValueError(f"{key} must satisfy |{key}| <= {MAX_MODEL_TWIST}, "
+                             f"got {fields[key]}")
+    return fields
+
+
+def _spec_dimension(spec: Any) -> int:
+    """The dimension of the model a spec describes, found without building it."""
+    if isinstance(spec, dict) and "sum" in spec:
+        return sum(_spec_dimension(s) for s in spec["sum"])
+    fields = _spec_fields(spec)
+    # a negative m or n is left for build_model to reject
+    base = (max(fields["m"], 0) + 1) * (max(fields["n"], 0) + 1)
+    return 2 * base if spec.get("kind") == "E" else base
+
+
+def _build_spec(spec: dict) -> Model:
     from .serialize import matrix_from_json
     from .sl2rep import build_model, direct_sum_models, transport_model
 
-    if not isinstance(spec, dict):
-        raise CliError("model spec must be an object")
-    try:
-        if "sum" in spec:
-            model = direct_sum_models([_model_from_spec(s) for s in spec["sum"]])
-        else:
-            model = build_model(spec.get("kind", "S"),
-                                **{key: _integer(key, spec.get(key, 0)) for key in "mnlpq"})
-        if "transport" in spec:
-            model = transport_model(model, matrix_from_json(spec["transport"]))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"bad model spec: {exc}") from exc
+    if "sum" in spec:
+        model = direct_sum_models([_build_spec(s) for s in spec["sum"]])
+    else:
+        model = build_model(spec.get("kind", "S"), **_spec_fields(spec))
+    if "transport" in spec:
+        model = transport_model(model, matrix_from_json(spec["transport"]))
     return model
 
 

@@ -403,7 +403,7 @@ class ExactMatrix:
     and cached, or kept as given when the matrix is built from them.
     """
 
-    __slots__ = ("rows", "cols", "den", "re", "im", "_entries")
+    __slots__ = ("rows", "cols", "den", "re", "im", "_entries", "_hash")
 
     def __init__(self, entries: Iterable[Iterable[ScalarLike]], cols: int | None = None):
         grid = tuple(tuple([e if type(e) is Scalar else scalar(e) for e in row])
@@ -419,6 +419,7 @@ class ExactMatrix:
             raise ValueError("column count mismatch")
         self.den, self.re, self.im = _integer_form(grid)
         self._entries = grid
+        self._hash = None
 
     @staticmethod
     def _from_ints(cols: int, den: int, re: list[list[int]],
@@ -436,7 +437,7 @@ class ExactMatrix:
         M.rows = len(re)
         M.cols = cols
         M.den, M.re, M.im = den, re, im
-        M._entries = None
+        M._entries = M._hash = None
         return M
 
     def _map(self, cols: int, f: Callable[[list], list]) -> "ExactMatrix":
@@ -587,8 +588,11 @@ class ExactMatrix:
                 == (other.rows, other.cols, other.den, other.re, other.im))
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.den, tuple(map(tuple, self.re)),
-                     None if self.im is None else tuple(map(tuple, self.im))))
+        # computed once: no code writes to a matrix's rows after construction
+        if self._hash is None:
+            self._hash = hash((self.rows, self.cols, self.den, tuple(map(tuple, self.re)),
+                               None if self.im is None else tuple(map(tuple, self.im))))
+        return self._hash
 
     def _same_shape(self, other: "ExactMatrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):

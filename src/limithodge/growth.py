@@ -10,6 +10,7 @@ decided exactly at that level.  No numeric norm is ever evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .exactla import (
@@ -103,8 +104,18 @@ def section_from_datum(v: Sequence[Scalar], N1: ExactMatrix, N2: ExactMatrix,
     The first weight is measured in W(N1), the second in W(N1 + N2),
     both centered at zero.
     """
+    return _section(v, *_pair_filtrations(N1, N2), label)
+
+
+@lru_cache(maxsize=16)  # a datum asks for its two orderings
+def _pair_filtrations(N1: ExactMatrix, N2: ExactMatrix,
+                      ) -> tuple[WeightFiltration, WeightFiltration]:
+    """(W(N1), W(N1 + N2)) of the ordered pair, checked to commute once per pair.
+
+    NonCommuting is raised anew on every call; errors are not memoized.
+    """
     commuting_check([N1, N2])
-    return _section(v, _weight_filtration(N1), _weight_filtration(N1 + N2), label)
+    return _weight_filtration(N1), _weight_filtration(N1 + N2)
 
 
 def _section(v: Sequence[Scalar], W1: WeightFiltration, W12: WeightFiltration,
@@ -162,8 +173,7 @@ def theta_apply_class(s: MonodromizedSection, i: int, N1: ExactMatrix,
     if i not in (1, 2):
         raise ValueError("direction must be 1 or 2")
     first, second = (N1, N2) if region == D_EPS else (N2, N1)
-    commuting_check([first, second])
-    W1, W12 = _weight_filtration(first), _weight_filtration(first + second)
+    W1, W12 = _pair_filtrations(first, second)
     src = _section(s.flat_vector, W1, W12)
     source_class = hodge_norm_class(src, region)
     Ni = N1 if i == 1 else N2

@@ -16,10 +16,12 @@ orthogonality when a polarization is supplied) before being returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from . import InternalInvariantFailure, PreconditionViolated
 from .exactla import (
@@ -48,7 +50,7 @@ from .exactla import (
     vstack,
 )
 
-Bigrading = dict[tuple[int, int], Subspace]
+Bigrading = Mapping[tuple[int, int], Subspace]
 
 
 class NotHorizontal(PreconditionViolated, ValueError):
@@ -139,15 +141,23 @@ class Sl2PairAction:
 # models
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
-    """A bigraded space with a commuting sl2-pair action and a polarization."""
+    """A bigraded space with a commuting sl2-pair action and a polarization.
+
+    Immutable, so one model can be shared: the bigrading is kept as a
+    read-only copy of the given mapping and the labels as a tuple.
+    """
 
     weight: int
     bigrading: Bigrading
     action: Sl2PairAction
     polarization: ExactMatrix
-    labels: list[str] = field(default_factory=list)
+    labels: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "bigrading", MappingProxyType(dict(self.bigrading)))
+        object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
     def dim(self) -> int:
@@ -214,7 +224,7 @@ def _symmetric_power_model(m: int, slot: int) -> Model:
     d = m + 1
     nm, y, np_ = _symmetric_power_matrices(m)
     z = (np_ - nm).scale(I)
-    bigrading: Bigrading = {}
+    bigrading: dict[tuple[int, int], Subspace] = {}
     for r in range(d):
         # type (r, m-r) is the Z-eigenvalue m-2r line
         eig = m - 2 * r
@@ -226,14 +236,14 @@ def _symmetric_power_model(m: int, slot: int) -> Model:
     else:
         action = Sl2PairAction((zero, nm), (zero, y), (zero, np_))
     return Model(m, bigrading, action, _symmetric_power_form(m),
-                 [f"b{r}" for r in range(d)])
+                 tuple(f"b{r}" for r in range(d)))
 
 
 def _tate_model(l: int) -> Model:
     one = ExactMatrix([[1]])
     zero = ExactMatrix([[0]])
     action = Sl2PairAction((zero, zero), (zero, zero), (zero, zero))
-    return Model(2 * l, {(l, l): Subspace.full(1)}, action, one, [f"h{l}"])
+    return Model(2 * l, {(l, l): Subspace.full(1)}, action, one, (f"h{l}",))
 
 
 def _etype_model(p: int, q: int) -> Model:
@@ -257,7 +267,7 @@ def _etype_model(p: int, q: int) -> Model:
     else:
         s = (-1) ** (((q - p - 1) // 2) % 2)
         S = ExactMatrix([[0, s], [-s, 0]])
-    return Model(p + q, bigrading, action, S, ["e1", "e2"])
+    return Model(p + q, bigrading, action, S, ("e1", "e2"))
 
 
 def _generatorwise(f: Callable[..., ExactMatrix], *actions: Sl2PairAction) -> Sl2PairAction:
@@ -278,7 +288,7 @@ def tensor_models(A: Model, B: Model) -> Model:
             spans.setdefault((p1 + p2, q1 + q2), []).append(kron(s1.basis, s2.basis))
     bigrading: Bigrading = {key: image(ExactMatrix.hstack(*blocks))
                             for key, blocks in spans.items()}
-    labels = [f"{x}*{y}" for x in A.labels for y in B.labels]
+    labels = tuple(f"{x}*{y}" for x in A.labels for y in B.labels)
     return Model(A.weight + B.weight, bigrading, action,
                  kron(A.polarization, B.polarization), labels)
 
@@ -290,19 +300,30 @@ def build_model(kind: str, m: int = 0, n: int = 0, l: int = 0,
     kind "S": S(m) (x) S(n); kind "H": the twist H(l) (x) S(m) (x) S(n);
     kind "E": E(p,q) (x) S(m) (x) S(n).  The first sl2 copy acts through
     the S(m) part, the second through S(n).
+
+    Models are immutable, so each spec is built and certified once and
+    then shared from a 64-entry memo, however its arguments are passed;
+    errors are raised anew on every call.
     """
     if m < 0 or n < 0:
         raise ValueError("symmetric powers need m, n >= 0")
-    base = tensor_models(_symmetric_power_model(m, 0), _symmetric_power_model(n, 1))
+    if kind not in ("S", "H", "E"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    return _standard_model(kind, m, n, l, p, q)
+
+
+# typed, so an argument such as 1.0 gets its own entry, and its own error,
+# instead of the model built for the int 1
+@lru_cache(maxsize=64, typed=True)
+def _standard_model(kind: str, m: int, n: int, l: int, p: int, q: int) -> Model:
     if kind == "S":
         if l or p or q:
             raise ValueError("kind 'S' takes only m, n")
-        return base
+        return tensor_models(_symmetric_power_model(m, 0), _symmetric_power_model(n, 1))
+    base = _standard_model("S", m, n, 0, 0, 0)
     if kind == "H":
         return tensor_models(_tate_model(l), base)
-    if kind == "E":
-        return tensor_models(_etype_model(p, q), base)
-    raise ValueError(f"unknown model kind {kind!r}")
+    return tensor_models(_etype_model(p, q), base)
 
 
 def direct_sum_models(models: Sequence[Model]) -> Model:
@@ -313,13 +334,13 @@ def direct_sum_models(models: Sequence[Model]) -> Model:
     if any(mo.weight != k for mo in models):
         raise ValueError("direct summands must share a single weight")
     action = _generatorwise(lambda *blocks: block_diag(blocks), *(mo.action for mo in models))
-    bigrading: Bigrading = {}
+    bigrading: dict[tuple[int, int], Subspace] = {}
     keys = sorted({key for mo in models for key in mo.bigrading})
     for key in keys:
         bigrading[key] = image(block_diag(
             [mo.bigrading.get(key, Subspace.zero(mo.dim)).basis for mo in models]))
     S = block_diag([mo.polarization for mo in models])
-    labels = [f"{i}:{lab}" for i, mo in enumerate(models) for lab in mo.labels]
+    labels = tuple(f"{i}:{lab}" for i, mo in enumerate(models) for lab in mo.labels)
     return Model(k, bigrading, action, S, labels)
 
 
@@ -329,7 +350,7 @@ def transport_model(model: Model, P: ExactMatrix) -> Model:
     action = _generatorwise(lambda X: P @ X @ Pinv, model.action)
     bigrading = {key: apply_to_subspace(P, sub) for key, sub in model.bigrading.items()}
     S = Pinv.transpose() @ model.polarization @ Pinv
-    return Model(model.weight, bigrading, action, S, list(model.labels))
+    return Model(model.weight, bigrading, action, S, model.labels)
 
 
 # ----------------------------------------------------------------------
@@ -397,7 +418,7 @@ def complete_sl2_triple(N: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
 # isotypic decomposition
 
 
-@dataclass
+@dataclass(frozen=True)
 class IrreducibleFactor:
     """An embedded irreducible summand of a bigraded pair representation.
 
@@ -589,15 +610,24 @@ def isotypic_decomposition(bigrading: Bigrading, action: Sl2PairAction,
 
     factors: list[IrreducibleFactor] = []
     accounted = 0
+    # eigenspaces of distinct eigenvalues are independent, so each scan stops
+    # once the space it splits is used up; only empty eigenspaces are skipped
+    lowest_left = kappa
     for m in range(ambient):
+        if not lowest_left:
+            break
         ym = y1k + idk.scale(m)
-        if rank(ym) == kappa:
-            continue
+        m_left = kappa - rank(ym)
+        lowest_left -= m_left
         for n in range(ambient):
+            if not m_left:
+                break
             ymn = vstack([ym, y2k + idk.scale(n)])
             emn = kernel(ymn)
             if emn.dim == 0:
                 continue
+            m_left -= emn.dim
+            mn_left = emn.dim
             accounted += emn.dim * (m + 1) * (n + 1)
             apow = action.nplus[0].power(m) @ action.nplus[1].power(n)
 
@@ -610,9 +640,12 @@ def isotypic_decomposition(bigrading: Bigrading, action: Sl2PairAction,
                 return bilinear(S, u, apow.apply(conj_vector(v)))
 
             for w in range(0, wmax + 1):
+                if not mn_left:
+                    break
                 mwk = kernel(vstack([ymn, rk - idk.scale(w)]))
                 if mwk.dim == 0:
                     continue
+                mn_left -= mwk.dim
                 if (k - m - n - w) % 2 != 0:
                     raise DecompositionError(
                         f"grading eigenvalue {w} has the wrong parity at weight {k}")
@@ -637,6 +670,7 @@ def isotypic_decomposition(bigrading: Bigrading, action: Sl2PairAction,
                     if mwk_conj.dim != mwk.dim:
                         raise DecompositionError(
                             "conjugate grading eigenspaces have unequal dimensions")
+                    mn_left -= mwk_conj.dim
                     base = (lowest.basis @ mwk.basis).columns()
                     if S is not None:
                         eps = (-1) ** ((k + m + n) % 2)

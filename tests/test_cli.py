@@ -540,6 +540,30 @@ def test_datum_model_must_match_the_dimension(tmp_path, capsys, command):
     assert (code, error["kind"]) == (2, "invalid-input")
     assert error["message"] == "model has dimension 4, not 2"
 
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "S", "m": 40, "n": 40},
+     "model dimension (m, n, sum) must be at most 64, got 1681"),
+    ({"kind": "H", "l": 10**6}, "l must satisfy |l| <= 16, got 1000000"),
+    ({"kind": "E", "m": 1, "p": 0, "q": -17}, "q must satisfy |q| <= 16, got -17"),
+    ({"sum": [{"kind": "E", "m": 31}, {"kind": "S"}]},
+     "model dimension (m, n, sum) must be at most 64, got 65"),
+    # at the caps the spec is accepted and reaches build_model
+    ({"kind": "E", "m": 31, "p": 16, "q": -16}, "build_model called"),
+])
+def test_model_specs_are_capped_before_any_model_is_built(tmp_path, capsys, monkeypatch,
+                                                          spec, message):
+    from limithodge import sl2rep
+
+    def stand_in(*args, **kwargs):
+        raise ValueError("build_model called")
+
+    monkeypatch.setattr(sl2rep, "build_model", stand_in)
+    path = _write_json(tmp_path / "datum.json", {"model": spec})
+    code, error = _run_error(["decompose", path], capsys)
+    assert (code, error["kind"]) == (2, "invalid-input")
+    assert error["message"] == f"bad model spec: {message}"
+
+
 _WRONG_SIZE = {
     "F": ("hodge (F)", {"ambient_dim": 3, "direction": "decreasing",
                         "steps": [{"l": 0, "basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}),

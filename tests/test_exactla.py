@@ -14,6 +14,7 @@ from limithodge.exactla import (
     ZERO,
     ExactMatrix,
     Filtration,
+    I,
     Scalar,
     Subspace,
     apply_to_subspace,
@@ -624,3 +625,12 @@ def test_no_module_imports_an_exactla_name_it_never_uses():
                 stale += [f"{path.name}: {alias.asname or alias.name}" for alias in node.names
                           if (alias.asname or alias.name) not in used]
     assert stale == []
+
+
+def test_hash_is_kept_and_matches_an_equal_matrix_built_fresh():
+    M = ExactMatrix([[Fraction(1, 2), I], [3, 0]])
+    first = hash(M)
+    assert hash(M) == first
+    assert hash(ExactMatrix(M.entries)) == first
+    assert hash(M.transpose().transpose()) == first
+    assert {M: 1}[ExactMatrix([[Fraction(1, 2), I], [3, 0]])] == 1

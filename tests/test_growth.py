@@ -22,7 +22,7 @@ from limithodge.growth import (
 )
 from limithodge.hodgestruct import PolarizationForm, filtration_to_bigrading, weil_and_metric
 from limithodge.sl2rep import alpha_basis, build_model, isotypic_decomposition
-from limithodge.weightfilt import monodromy_weight_filtration
+from limithodge.weightfilt import NonCommuting, monodromy_weight_filtration
 from test_weightfilt import _conjugated_nilpotents
 
 
@@ -84,6 +84,13 @@ def test_section_weights_use_both_orderings():
     assert s.weights == (1, 0)
     swapped = section_from_datum(alphas[(1, 0)], n2, n1)
     assert swapped.weights == (-1, 0)
+
+
+def test_noncommuting_pair_is_rejected_on_every_call():
+    n1, n2 = ExactMatrix([[0, 1], [0, 0]]), ExactMatrix([[0, 0], [1, 0]])
+    for _ in range(3):  # the per-pair memo does not keep errors
+        with pytest.raises(NonCommuting):
+            section_from_datum([1, 0], n1, n2)
 
 
 def test_check_section_flags_stale_weights():

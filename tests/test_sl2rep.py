@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from limithodge import sl2rep
 from limithodge.exactla import ExactMatrix, I, Scalar, Subspace, bilinear, conj_vector, scalar
 from limithodge.sl2rep import (
     DecompositionError,
@@ -69,6 +70,36 @@ def test_s11_bigrading_dimensions():
     model = build_model("S", 1, 1)
     dims = {pq: sub.dim for pq, sub in model.bigrading.items()}
     assert dims == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+
+
+def test_build_model_shares_one_model_per_spec():
+    model = build_model("S", 1, 1)
+    assert build_model("S", 1, 1) is model
+    assert build_model("S", m=1, n=1) is model
+    assert build_model(kind="S", n=1, m=1) is model
+    assert build_model("H", 1, 1, l=1) is build_model("H", m=1, n=1, l=1)
+    for _ in range(2):  # errors are raised anew, not memoized
+        with pytest.raises(ValueError, match="EType requires p != q"):
+            build_model("E", 1, 0, p=1, q=1)
+
+
+def test_models_and_factors_are_immutable():
+    model = build_model("S", 1, 1)
+    factor = isotypic_decomposition(model.bigrading, model.action)[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.weight = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.labels = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        factor.m = 2
+    with pytest.raises(TypeError):
+        model.bigrading[(1, 1)] = Subspace.zero(4)
+    assert isinstance(model.labels, tuple)
+    pieces = {(1, 0): Subspace.full(1)}
+    tate = build_model("H", l=1)
+    copied = dataclasses.replace(tate, bigrading=pieces)
+    pieces[(0, 1)] = Subspace.zero(1)
+    assert set(copied.bigrading) == {(1, 0)}
 
 
 def test_model_actions_are_real_and_bracketed():
@@ -268,6 +299,25 @@ def test_verification_rejects_forged_factor_embeddings(forge, message):
     with pytest.raises(DecompositionError, match=re.escape(message)):
         _verify_decomposition(model.bigrading, model.action, model.polarization,
                               factors, model.weight)
+
+
+def test_isotypic_scan_stops_once_the_lowest_space_is_used_up(monkeypatch):
+    model = build_model("S", 3, 3)
+    counts = {"rank": 0, "kernel": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sl2rep, "rank", counting("rank", sl2rep.rank))
+    monkeypatch.setattr(sl2rep, "kernel", counting("kernel", sl2rep.kernel))
+    factors = isotypic_decomposition(model.bigrading, model.action, model.polarization)
+    assert [f.params() for f in factors] == [("S", 3, 3, 0)]
+    # trying every m and n below the dimension 16 takes 17 ranks and 32 kernels
+    assert counts["rank"] <= 5
+    assert counts["kernel"] <= 20
 
 
 def test_decomposition_rejects_nonhorizontal_bigrading():
