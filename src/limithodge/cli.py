@@ -16,9 +16,11 @@ only) to ``MAX_CONE_SAMPLES`` = 100; ``oracle-compare`` needs
 0 < ``--epsilon`` < 1, ``--n-max`` >= 0 and a grid of
 4 (n_max+1)^2 (l_max-l_min+1)^2 <= ``MAX_ORACLE_CELLS`` = 4096 cells; a
 datum's ``model`` spec has dimension at most ``MAX_MODEL_DIM`` = 64, summed
-over a ``sum``, and |l|, |p|, |q| at most ``MAX_MODEL_TWIST`` = 16.
+over a ``sum``, and |l|, |p|, |q| at most ``MAX_MODEL_TWIST`` = 16; the
+``dimension`` of explicit ``N1``/``N2`` matrices is at most 64 as well.
 Anything else exits 2, and ``oracle-compare`` exits before numpy loads; an
-oversized model spec exits before any model is built.
+oversized model spec exits before any model is built, and an oversized
+``dimension`` before any matrix is read.
 
 Each handler imports the library modules it runs when it runs, so a
 process loads only what its subcommand uses:
@@ -81,11 +83,12 @@ MAX_CONE_SAMPLES = 100
 # and ``--n-max 2`` over the default weights 2916
 MAX_ORACLE_CELLS = 4096
 # a datum's model spec may have at most this dimension, summed over a "sum"
-# ((m+1)(n+1) per S or H factor, twice that per E factor); the corpus and
-# the benchmark's specs stay at or below 12
+# ((m+1)(n+1) per S or H factor, twice that per E factor), and so may the
+# "dimension" of explicit N1/N2; the corpus and the benchmark's data stay at
+# or below 12
 MAX_MODEL_DIM = 64
-# and |l|, |p|, |q| at most this: mhs-check on E(p, 0) takes about 0.35 s at
-# p = 16 and 5.6 s at p = 64
+# and |l|, |p|, |q| at most this; a mhs-check process on E(p, 0) takes about
+# 0.2 s (2-core host) at p = 16, and the same at p = 64 with the cap lifted
 MAX_MODEL_TWIST = 16
 
 
@@ -204,6 +207,8 @@ def _load_datum(arg: str) -> tuple[MonodromyDatum, str, list[tuple] | None]:
             weight = _integer("weight", payload.get("weight", model.weight))
         else:
             dim = _integer("dimension", payload["dimension"])
+            if dim > MAX_MODEL_DIM:
+                raise ValueError(f"dimension must be at most {MAX_MODEL_DIM}, got {dim}")
             weight = _integer("weight", payload.get("weight", 0))
             n1 = matrix_from_json(payload["N1"])
             n2 = matrix_from_json(payload["N2"])

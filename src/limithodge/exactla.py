@@ -1,7 +1,8 @@
 """Exact linear algebra over the Gaussian rationals.
 
 Matrices, subspaces with canonical reduced-echelon bases, and
-integer-indexed filtrations.  Every operation in this module is exact:
+integer-indexed filtrations, each with an adapted basis in which its steps
+are coordinate subspaces.  Every operation in this module is exact:
 scalars are ``a + b*i`` with ``fractions.Fraction`` components, and no
 rounding ever occurs.  Subspace equality is decidable because bases are
 kept in a canonical form (reduced column echelon, pivots on the first
@@ -785,6 +786,11 @@ def image(M: ExactMatrix) -> Subspace:
 
 
 def intersect(A: Subspace, B: Subspace) -> Subspace:
+    """A ∩ B: one null space of [A | B] and one image.
+
+    Meets with a filtration step read the filtration's adapted basis
+    instead (:func:`bigraded_pieces`, :func:`induced_filtration_on_graded`).
+    """
     if A.ambient_dim != B.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if A.dim == 0 or B.dim == 0:
@@ -937,7 +943,7 @@ class Filtration:
     INCREASING = "increasing"
     DECREASING = "decreasing"
 
-    __slots__ = ("ambient_dim", "direction", "steps")
+    __slots__ = ("ambient_dim", "direction", "steps", "_adapted")
 
     def __init__(self, ambient_dim: int, direction: str,
                  steps: Sequence[tuple[int, Subspace]]):
@@ -957,6 +963,7 @@ class Filtration:
         self.ambient_dim = ambient_dim
         self.direction = direction
         self.steps = tuple(ordered)
+        self._adapted: tuple[ExactMatrix, tuple[int, ...]] | None = None
 
     @staticmethod
     def from_generators(ambient_dim: int, direction: str,
@@ -1018,10 +1025,47 @@ class Filtration:
         rows = [big.pivots()[j] for j in _pivot_complement(big, small)]
         return X._rows_at(rows) - small.basis._rows_at(rows) @ X._rows_at(small.pivots())
 
+    def _graded_frame(self) -> tuple[ExactMatrix, tuple[int, ...]]:
+        """P, the graded_basis(l) columns joined in increasing l, and each column's l."""
+        levels = self.graded_range()
+        bases = [self.graded_basis(l) for l in levels]
+        P = ExactMatrix.zeros(self.ambient_dim, 0).hstack(*bases)
+        return P, tuple(l for l, basis in zip(levels, bases) for _ in range(basis.cols))
+
+    @property
+    def adapted(self) -> tuple[ExactMatrix, tuple[int, ...]]:
+        """The adapted basis as (Q, weights): Q inverts P of :meth:`_graded_frame`.
+
+        Every step is a coordinate subspace in it: v lies in step(l)
+        exactly when (Qv)_j = 0 for every weights[j] beyond l (above l if
+        increasing, below l if decreasing), and for v in step(l) the
+        entries at weight l are its coordinates in graded_basis(l).
+        Computed once; ValueError when the graded pieces do not fill the
+        space.
+        """
+        if self._adapted is None:
+            P, weights = self._graded_frame()
+            if P.cols != P.rows:
+                raise ValueError("the filtration does not exhaust the space")
+            self._adapted = (inverse(P), weights)
+        return self._adapted
+
+    def _beyond(self, l: int) -> list[int]:
+        """The rows of Q whose vanishing on v says that v lies in step(l)."""
+        _, weights = self.adapted
+        if self.direction == self.INCREASING:
+            return [j for j, w in enumerate(weights) if w > l]
+        return [j for j, w in enumerate(weights) if w < l]
+
     def shift(self, offset: int) -> "Filtration":
-        """Reindex: result.step(l) == self.step(l - offset)."""
-        return Filtration(self.ambient_dim, self.direction,
-                          [(l + offset, sub) for l, sub in self.steps])
+        """Reindex: result.step(l) == self.step(l - offset).  An adapted basis
+        already computed carries over with its weights moved by the offset."""
+        out = Filtration(self.ambient_dim, self.direction,
+                         [(l + offset, sub) for l, sub in self.steps])
+        if self._adapted is not None:
+            Q, weights = self._adapted
+            out._adapted = (Q, tuple(w + offset for w in weights))
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Filtration):
@@ -1060,27 +1104,45 @@ def induced_map_on_graded(M: ExactMatrix, W: Filtration, l: int, shift: int = 0)
     return W._graded_coordinates(tgt, M @ W.graded_basis(src))
 
 
+def _meet_coefficients(W: Filtration, l: int, QB: ExactMatrix) -> ExactMatrix | None:
+    """Columns spanning the coefficients c with B·c in W_l, where QB is Q·B for
+    W's adapted Q and B has independent columns; None when every c qualifies.
+
+    In the adapted basis W_l is a coordinate subspace, so the meet of W_l
+    with the span of B is B times the null space of the rows of QB beyond l.
+    """
+    rows = W._beyond(l)
+    if len(rows) == W.ambient_dim:
+        return ExactMatrix.zeros(QB.cols, 0)
+    block = QB._rows_at(rows)
+    return None if block.is_zero() else _null_generators(block).transpose()
+
+
 def induced_filtration_on_graded(V: Filtration, W: Filtration, l: int) -> Filtration:
     """The filtration V induces on Gr_l(W), in the graded_basis(l) quotient basis.
 
-    Step p is the image of V_p ∩ W_l in Gr_l.  Equal consecutive steps
-    are merged keeping the index that the saturation convention needs:
-    the lowest for an increasing V, the highest for a decreasing one.
+    Step p is the image of V_p ∩ W_l in Gr_l: the weight-l rows of Q·B
+    times the null space of its rows beyond l, Q from W's adapted basis
+    and B the basis of V_p.  Equal consecutive steps are merged keeping
+    the index that the saturation convention needs: the lowest for an
+    increasing V, the highest for a decreasing one.
     """
-    g = W.graded_dim(l)
-    step = W.step(l)
+    Q, weights = W.adapted
+    at_l = [j for j, w in enumerate(weights) if w == l]
     order = V.indices()
     if V.direction == Filtration.DECREASING:
         order = list(reversed(order))
     steps: list[tuple[int, Subspace]] = []
     prev: Subspace | None = None
     for p in order:
-        meet = intersect(V.step(p), step)
-        sub = image(W._graded_coordinates(l, meet.basis))
+        QB = Q @ V.step(p).basis
+        K = _meet_coefficients(W, l, QB)
+        graded = QB._rows_at(at_l)
+        sub = image(graded if K is None else graded @ K)
         if prev is None or sub != prev:
             steps.append((p, sub))
             prev = sub
-    return Filtration(g, V.direction, steps)
+    return Filtration(len(at_l), V.direction, steps)
 
 
 BigradedPiece = tuple[int, int, tuple[tuple[Scalar, ...], ...]]
@@ -1093,13 +1155,21 @@ def bigraded_pieces(W1: Filtration, W2: Filtration) -> tuple[BigradedPiece, ...]
     the generators span a complement of W1_{a-1}∩W2_b + W1_a∩W2_{b-1}
     inside W1_a∩W2_b: the pivot-complement columns of the canonical
     corner basis, which works because nested canonical bases have nested
-    pivot sets.  Each corner W1_a∩W2_b is intersected once.
+    pivot sets.  Each corner W1_a∩W2_b is met once, in W1's adapted basis:
+    Q·B for B the basis of W2_b is formed once per b, and the corner is B
+    times the null space of its rows above a.
     """
+    Q, _ = W1.adapted
+    coords: dict[int, ExactMatrix] = {}
     corners: dict[tuple[int, int], Subspace] = {}
 
     def corner(a: int, b: int) -> Subspace:
         if (a, b) not in corners:
-            corners[(a, b)] = intersect(W1.step(a), W2.step(b))
+            step = W2.step(b)
+            if b not in coords:
+                coords[b] = Q @ step.basis
+            K = _meet_coefficients(W1, a, coords[b])
+            corners[(a, b)] = step if K is None else image(step.basis @ K)
         return corners[(a, b)]
 
     pieces: list[BigradedPiece] = []

@@ -336,7 +336,9 @@ def deligne_bigrading(m: MixedHodge) -> Bigrading:
     I^{p,q} = F^p ∩ W_{p+q} ∩ (conj(F^q) ∩ W_{p+q}
               + sum_{j>=1} conj(F^{q-j}) ∩ W_{p+q-j-1}).
 
-    The result splits both filtrations; that is re-verified before
+    I^{p,q} maps isomorphically onto its image in Gr_{p+q}(W), so only
+    p + q with a nonzero graded piece is tried.  The result fills the
+    space and splits both filtrations; that is re-verified before
     returning.
     """
     rep = mhs_check(m)
@@ -345,7 +347,8 @@ def deligne_bigrading(m: MixedHodge) -> Bigrading:
     d = m.ambient_dim
     fidx = m.F.indices()
     p_lo, p_hi = min(fidx) - 1, max(fidx) + 1
-    w_lo = min(m.W.graded_range(), default=0)
+    levels = m.W.graded_range()
+    w_lo = min(levels, default=0)
     conj_f: dict[int, Subspace] = {}
 
     def cF(q: int) -> Subspace:
@@ -354,15 +357,14 @@ def deligne_bigrading(m: MixedHodge) -> Bigrading:
         return conj_f[q]
 
     pieces: Bigrading = {}
-    for p in range(p_lo, p_hi + 1):
-        for q in range(p_lo, p_hi + 1):
-            Wl = m.W.step(p + q)
-            if Wl.dim == 0:
-                continue
+    for k in levels:
+        Wl = m.W.step(k)
+        for p in range(max(p_lo, k - p_hi), min(p_hi, k - p_lo) + 1):
+            q = k - p
             terms = [intersect(cF(q), Wl)]
             j = 1
-            while p + q - j - 1 >= w_lo - 1:
-                Wj = m.W.step(p + q - j - 1)
+            while k - j - 1 >= w_lo - 1:
+                Wj = m.W.step(k - j - 1)
                 if Wj.dim == 0:
                     break
                 terms.append(intersect(cF(q - j), Wj))
@@ -381,7 +383,7 @@ def deligne_bigrading(m: MixedHodge) -> Bigrading:
         above = (sub for (r, _), sub in pieces.items() if r >= p)
         if subspace_sum(zero, *above) != m.F.step(p):
             raise RuntimeError("canonical bigrading does not split F")
-    return pieces
+    return dict(sorted(pieces.items()))
 
 
 def r_split_check(m: MixedHodge) -> bool:

@@ -9,7 +9,7 @@ any filtration is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -23,7 +23,6 @@ from .exactla import (
     induced_filtration_on_graded,
     image,
     induced_map_on_graded,
-    inverse,
     rank,
 )
 
@@ -56,9 +55,12 @@ class WeightFiltration:
     filtration: Filtration
     nilpotent: ExactMatrix
     center: int
-    # (Q, weights): Q inverts the adapted basis whose column j spans part of
-    # Gr_{weights[j]}, so v lies in W_l exactly when (Qv)_j = 0 for weights[j] > l
-    adapted: tuple[ExactMatrix, tuple[int, ...]] = field(compare=False)
+
+    @property
+    def adapted(self) -> tuple[ExactMatrix, tuple[int, ...]]:
+        """(Q, weights) of the filtration's adapted basis: v lies in W_l
+        exactly when (Qv)_j = 0 for every weights[j] > l."""
+        return self.filtration.adapted
 
     def step(self, l: int) -> Subspace:
         return self.filtration.step(l)
@@ -68,10 +70,8 @@ class WeightFiltration:
 
     def recenter(self, center: int) -> "WeightFiltration":
         """The same filtration re-indexed so the symmetry center moves."""
-        offset = center - self.center
-        Q, weights = self.adapted
-        return WeightFiltration(self.filtration.shift(offset), self.nilpotent, center,
-                                (Q, tuple(w + offset for w in weights)))
+        return WeightFiltration(self.filtration.shift(center - self.center),
+                                self.nilpotent, center)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightFiltration):
@@ -140,28 +140,27 @@ def _weight_filtration(N: ExactMatrix) -> WeightFiltration:
         if acc.dim == d:
             break
     filt = Filtration(d, Filtration.INCREASING, steps)
-    return WeightFiltration(filt, N, 0, _verify_weight_axioms(N, filt))
+    _verify_weight_axioms(N, filt)
+    return WeightFiltration(filt, N, 0)
 
 
-def _verify_weight_axioms(N: ExactMatrix, filt: Filtration) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Both axioms of the weight filtration centered at 0, checked in an adapted basis.
+def _verify_weight_axioms(N: ExactMatrix, filt: Filtration) -> None:
+    """Both axioms of the weight filtration centered at 0, checked in its adapted basis.
 
     P joins the graded bases in increasing weight, so W_l is spanned by
-    the columns of weight <= l, and A = Q N P (Q = P^-1) is N in that
+    the columns of weight <= l, and A = Q N P (Q = P^-1, from
+    ``filt.adapted``, which this computes and caches) is N in that
     basis.  N W_l <= W_{l-2} for every l exactly when A_ij = 0 whenever
     weight(i) > weight(j) - 2, so the first l that fails is the least
     weight of a column with such an entry.  The map N^l induces from
-    Gr_l to Gr_{-l} is the block of A^l between those weights.  Returns
-    (Q, the column weights).
+    Gr_l to Gr_{-l} is the block of A^l between those weights.
     """
-    levels = filt.graded_range()
-    bases = [filt.graded_basis(l) for l in levels]
-    P = ExactMatrix.zeros(filt.ambient_dim, 0).hstack(*bases)
+    P, _ = filt._graded_frame()
     if P.cols != P.rows:
         raise AxiomFailure("the filtration does not exhaust the space")
-    weights = tuple(l for l, basis in zip(levels, bases) for _ in range(basis.cols))
+    Q, weights = filt.adapted
+    levels = sorted(set(weights))
     at = {l: [j for j, w in enumerate(weights) if w == l] for l in levels}
-    Q = inverse(P)
     A = Q @ (N @ P)
     for l in levels:
         above = [i for i, w in enumerate(weights) if w > l - 2]
@@ -175,7 +174,6 @@ def _verify_weight_axioms(N: ExactMatrix, filt: Filtration) -> tuple[ExactMatrix
             raise AxiomFailure(f"graded dims differ at +-{l} about the center")
         if src and rank(power.submatrix(tgt, src)) != len(src):
             raise AxiomFailure(f"N^{l} is not an isomorphism Gr_{l} -> Gr_{-l}")
-    return Q, weights
 
 
 def commuting_check(Ns: Sequence[ExactMatrix]) -> None:

@@ -564,6 +564,28 @@ def test_model_specs_are_capped_before_any_model_is_built(tmp_path, capsys, monk
     assert error["message"] == f"bad model spec: {message}"
 
 
+@pytest.mark.parametrize("dimension, message", [
+    (65, "dimension must be at most 64, got 65"),
+    # at the cap the datum is accepted and its matrices are read
+    (64, "matrix read"),
+])
+def test_explicit_dimension_is_capped_before_any_matrix_is_read(tmp_path, capsys,
+                                                                monkeypatch, dimension,
+                                                                message):
+    from limithodge import serialize
+
+    def stand_in(*args, **kwargs):
+        raise ValueError("matrix read")
+
+    monkeypatch.setattr(serialize, "matrix_from_json", stand_in)
+    zeros = [[0] * dimension for _ in range(dimension)]
+    path = _write_json(tmp_path / "datum.json",
+                       {"dimension": dimension, "N1": zeros, "N2": zeros})
+    code, error = _run_error(["weight-filtration", path], capsys)
+    assert (code, error["kind"]) == (2, "invalid-input")
+    assert error["message"] == f"{path}: {message}"
+
+
 _WRONG_SIZE = {
     "F": ("hodge (F)", {"ambient_dim": 3, "direction": "decreasing",
                         "steps": [{"l": 0, "basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}),

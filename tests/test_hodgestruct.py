@@ -210,3 +210,23 @@ def test_nilpotent_is_minus_one_morphism_of_splitting():
     mixed, n, _ = _limit_mixed(2)
     assert bigrading_morphism_check(mixed, n, -1, -1) is True
     assert bigrading_morphism_check(mixed, n, -2, -2) is False
+
+
+def test_canonical_bigrading_tries_only_weights_with_a_graded_piece(monkeypatch):
+    # E(16,0) (x) S(1): a square over the Hodge index range made 2,665 intersects
+    from limithodge import hodgestruct
+
+    model = build_model("E", 1, 0, 0, 16, 0)
+    n = model.action.nminus[0] + model.action.nminus[1]
+    w = monodromy_weight_filtration(n, center=model.weight).filtration
+    mixed = MixedHodge(w, model.limit_filtration())
+    calls = [0]
+    intersect = hodgestruct.intersect
+
+    def counted(*args):
+        calls[0] += 1
+        return intersect(*args)
+
+    monkeypatch.setattr(hodgestruct, "intersect", counted)
+    assert r_split_check(mixed) is True
+    assert calls[0] <= 300, f"{calls[0]} intersect calls"

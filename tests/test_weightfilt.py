@@ -14,10 +14,14 @@ from limithodge.datum import MonodromyDatum, corpus_entry
 from limithodge.exactla import (
     ExactMatrix,
     Filtration,
+    I,
     Scalar,
     Subspace,
     apply_to_subspace,
+    bigraded_pieces,
+    determinant,
     image,
+    induced_filtration_on_graded,
     induced_map_on_graded,
     intersect,
     inverse,
@@ -27,7 +31,7 @@ from limithodge.exactla import (
 )
 from limithodge.l2complex import build_stalk_complex, hypercohomology
 from limithodge.serialize import matrix_from_json
-from limithodge.sl2rep import build_model
+from limithodge.sl2rep import build_model, direct_sum_models, transport_model
 from limithodge.weightfilt import (
     AxiomFailure,
     NonCommuting,
@@ -39,6 +43,7 @@ from limithodge.weightfilt import (
     monodromy_weight_filtration,
     relative_weight_check,
 )
+from limithodge.exactla import _pivot_complement
 from limithodge.weightfilt import _nilpotent_powers, _verify_weight_axioms, _weight_filtration
 
 DATUMS = Path(__file__).with_name("datums")
@@ -185,6 +190,140 @@ def test_adapted_basis_inverts_the_graded_bases_and_follows_recentering():
                                          for v in w.filtration.graded_basis(l).columns()]) \
         == ExactMatrix.identity(3)
     assert w.recenter(3).adapted == (Q, (1, 3, 5))
+
+
+def test_shift_carries_the_adapted_basis_with_the_weights_moved():
+    filt = Filtration.from_generators(3, Filtration.INCREASING, [
+        (-1, [[1, 1, 0]]), (1, [[1, 1, 0], [0, 1, I]]),
+        (2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])])
+    Q, weights = filt.adapted
+    assert weights == (-1, 1, 2)
+    moved = filt.shift(4)
+    assert moved.adapted[0] is Q
+    assert moved.adapted[1] == (3, 5, 6)
+    # a filtration built afresh from the moved steps computes the same basis
+    assert Filtration(3, Filtration.INCREASING, moved.steps).adapted == moved.adapted
+
+
+@pytest.mark.parametrize("N", [_jordan(3), _random_nilpotent(random.Random(7), 5)],
+                         ids=["jordan3", "conjugated5"])
+def test_adapted_basis_of_a_hand_built_filtration_equals_the_certified_one(N):
+    w = monodromy_weight_filtration(N)
+    hand_built = Filtration.from_generators(
+        N.rows, Filtration.INCREASING,
+        [(l, step.basis_columns()) for l, step in w.filtration.steps])
+    assert hand_built.adapted == w.adapted
+
+
+def test_a_filtration_that_does_not_exhaust_the_space_has_no_adapted_basis():
+    filt = Filtration.from_generators(2, Filtration.INCREASING, [(0, [[1, 0]])])
+    with pytest.raises(ValueError, match="does not exhaust the space"):
+        filt.adapted
+
+
+# ----------------------------------------------------------------------
+# meets with weight steps in the adapted basis, against intersect
+
+
+def _reference_pieces(W1: Filtration, W2: Filtration) -> tuple:
+    """bigraded_pieces with every corner W1_a ∩ W2_b taken by intersect."""
+    pieces = []
+    for a in W1.graded_range():
+        for b in W2.graded_range():
+            big = intersect(W1.step(a), W2.step(b))
+            below = subspace_sum(intersect(W1.step(a - 1), W2.step(b)),
+                                 intersect(W1.step(a), W2.step(b - 1)))
+            if big.dim > below.dim:
+                pieces.append((a, b, tuple(big.basis.column(j)
+                                           for j in _pivot_complement(big, below))))
+    return tuple(pieces)
+
+
+def _reference_induced(V: Filtration, W: Filtration, l: int) -> list:
+    """The steps of induced_filtration_on_graded, each the graded coordinates of
+    V_p ∩ W_l taken by intersect."""
+    order = V.indices()
+    if V.direction == Filtration.DECREASING:
+        order.reverse()
+    steps: list[tuple[int, Subspace]] = []
+    for p in order:
+        sub = image(W._graded_coordinates(l, intersect(V.step(p), W.step(l)).basis))
+        if not steps or sub != steps[-1][1]:
+            steps.append((p, sub))
+    return sorted(((p, sub.basis) for p, sub in steps), key=lambda step: step[0])
+
+
+def _dense_gaussian(rng: random.Random, dim: int) -> ExactMatrix:
+    """An invertible dense Gaussian-integer matrix, every entry a + bi with b != 0."""
+    while True:
+        P = ExactMatrix([[Scalar(rng.randint(-2, 2), rng.choice((-2, -1, 1, 2)))
+                          for _ in range(dim)] for _ in range(dim)])
+        if determinant(P):
+            return P
+
+
+def _shear(rng: random.Random, dim: int) -> ExactMatrix:
+    """A product of integer row shears: a sparse unimodular change of basis."""
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(2 * dim):
+        i, j = rng.sample(range(dim), 2)
+        c = rng.randint(-2, 2)
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return ExactMatrix(rows)
+
+
+_MEET_CASES = {
+    "S(1)xS(1) sheared": (lambda: build_model("S", 1, 1), _shear, 0),
+    "E(2,0)xS(1) sheared": (lambda: build_model("E", 1, 0, 0, 2, 0), _shear, 1),
+    "S(2)xS(1) dense Q(i)": (lambda: build_model("S", 2, 1), _dense_gaussian, 2),
+    "S(2)xS(0)+S(0)xS(2) dense Q(i)": (
+        lambda: direct_sum_models([build_model("S", 2, 0), build_model("S", 0, 2)]),
+        _dense_gaussian, 3),
+}
+
+
+def _transported(case: str):
+    split, conjugator, seed = _MEET_CASES[case]
+    model = split()
+    return transport_model(model, conjugator(random.Random(seed), model.dim))
+
+
+@pytest.mark.parametrize("case", sorted(_MEET_CASES))
+def test_meets_in_the_adapted_basis_match_intersect(case):
+    model = _transported(case)
+    n1, n2 = model.action.nminus
+    w1, w2 = (monodromy_weight_filtration(n).filtration for n in (n1, n2))
+    cone = monodromy_weight_filtration(n1 + n2).filtration
+    for first in (w1, w2):
+        assert bigraded_pieces(first, cone) == _reference_pieces(first, cone)
+    for k in w1.graded_range():
+        assert [(p, sub.basis) for p, sub in induced_filtration_on_graded(cone, w1, k).steps] \
+            == _reference_induced(cone, w1, k)
+    # the decreasing limit filtration over a recentred W, as mhs-check meets them
+    recentred = monodromy_weight_filtration(n1 + n2, center=model.weight).filtration
+    F = model.limit_filtration()
+    for l in recentred.graded_range():
+        assert [(p, sub.basis) for p, sub in induced_filtration_on_graded(F, recentred, l).steps] \
+            == _reference_induced(F, recentred, l)
+    # and W decreasing, where the rows beyond p are those below it
+    for p in F.graded_range():
+        assert [(l, sub.basis) for l, sub in induced_filtration_on_graded(cone, F, p).steps] \
+            == _reference_induced(cone, F, p)
+
+
+def test_meets_with_weight_steps_never_intersect(monkeypatch):
+    model = _transported("S(2)xS(1) dense Q(i)")
+    n1, n2 = model.action.nminus
+    w1 = monodromy_weight_filtration(n1).filtration
+    cone = monodromy_weight_filtration(n1 + n2).filtration
+
+    def refuse(*args):
+        raise AssertionError("intersect called")
+
+    monkeypatch.setattr(exactla, "intersect", refuse)
+    assert bigraded_pieces(w1, cone)
+    for k in w1.graded_range():
+        assert induced_filtration_on_graded(cone, w1, k).ambient_dim == w1.graded_dim(k)
 
 
 # ----------------------------------------------------------------------
