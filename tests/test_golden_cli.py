@@ -1,5 +1,6 @@
 """Golden CLI digests: every datum subcommand on every built-in label, the
-weight and cone reports of the dense Q(i) data in ``datums/``, and the dbar
+weight and cone reports of the dense Q(i) data in ``datums/``, ``mhs-check``
+on the explicit Hodge filtrations in ``datums/explicit-f/``, and the dbar
 subcommands on fixed exponents and the configs in ``dbar_configs/``.
 
 ``tests/golden_cli.json`` maps each argv (joined by spaces, config paths
@@ -24,6 +25,10 @@ HERE = Path(__file__).parent
 GOLDEN = HERE / "golden_cli.json"
 CONFIGS = HERE / "dbar_configs"
 DATUMS = HERE / "datums"
+# the 2-dimensional Jordan block at weight 1 with an explicit F, each with and
+# without S: a valid F, a skewed one (r_split false), one that does not
+# exhaust the space and one whose F^1 is the real line W_0 (both exit 3)
+EXPLICIT_F = DATUMS / "explicit-f"
 
 SHAPES = (
     ["weight-filtration"],
@@ -65,6 +70,8 @@ def cases() -> dict[str, list[str]]:
     for datum in sorted(DATUMS.glob("*.json")):
         for cmd, *flags in DATUM_SHAPES:
             out[" ".join([cmd, f"{DATUMS.name}/{datum.name}", *flags])] = [cmd, str(datum), *flags]
+    for datum in sorted(EXPLICIT_F.glob("*.json")):
+        out[f"mhs-check {DATUMS.name}/{EXPLICIT_F.name}/{datum.name}"] = ["mhs-check", str(datum)]
     for p in range(3):
         for q in range(3):
             for k, l in REGION_EXPONENTS:
