@@ -51,6 +51,8 @@ Input files with monodromy data follow one schema::
 
 Every datum is loaded as a ``datum.MonodromyDatum``, so both logarithms must be
 nilpotent and commute, and ``F``, ``S`` and ``model`` must have its dimension.
+A ``model`` supplies its own Hodge filtration, so a datum that gives both
+``model`` and ``F`` exits 2.
 ``labels`` must be a list of strings and ``hodge_numbers`` a list of
 non-negative integers; neither is read further.
 
@@ -229,7 +231,10 @@ def _load_datum(arg: str) -> tuple[MonodromyDatum, str, list[tuple] | None]:
     for label, mat in (("N1", n1), ("N2", n2)):
         if mat.rows != dim or mat.cols != dim:
             raise CliError(f"{arg}: {label} is not square of dimension {dim}")
-    return MonodromyDatum(weight, n1, n2, hodge, pol, model, label=arg), digest, vectors
+    datum = MonodromyDatum(weight, n1, n2, hodge, pol, model, label=arg)
+    if model is not None and hodge is not None:
+        raise CliError(f"{arg}: give 'F' or a 'model', not both")
+    return datum, digest, vectors
 
 
 def _param_digest(**params: Any) -> str:

@@ -785,19 +785,19 @@ def image(M: ExactMatrix) -> Subspace:
     return _row_space(M.transpose())
 
 
-def intersect(A: Subspace, B: Subspace) -> Subspace:
-    """A ∩ B: one null space of [A | B] and one image.
+def _meet_coefficients(MB: ExactMatrix) -> ExactMatrix | None:
+    """Columns spanning the null space of MB = M·B, or None when MB is zero:
+    for B with independent columns, span(B) ∩ ker(M) is B times them."""
+    return None if MB.is_zero() else _null_generators(MB).transpose()
 
-    Meets with a filtration step read the filtration's adapted basis
-    instead (:func:`bigraded_pieces`, :func:`induced_filtration_on_graded`).
-    """
-    if A.ambient_dim != B.ambient_dim:
+
+def meet(V: Subspace, M: ExactMatrix) -> Subspace:
+    """V ∩ ker(M), the one meet: a filtration step is the kernel of the rows
+    :meth:`Filtration.beyond` reads, and its conjugate that of their conjugate."""
+    if M.cols != V.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if A.dim == 0 or B.dim == 0:
-        return Subspace.zero(A.ambient_dim)
-    # Ax = -By and Ax = By have the same solutions x up to the sign of y
-    gens = _null_generators(A.basis.hstack(B.basis))
-    return image(A.basis @ gens.submatrix(range(gens.rows), range(A.dim)).transpose())
+    K = _meet_coefficients(M @ V.basis)
+    return V if K is None else image(V.basis @ K)
 
 
 def subspace_sum(first: Subspace, *others: Subspace) -> Subspace:
@@ -1050,12 +1050,16 @@ class Filtration:
             self._adapted = (inverse(P), weights)
         return self._adapted
 
-    def _beyond(self, l: int) -> list[int]:
-        """The rows of Q whose vanishing on v says that v lies in step(l)."""
-        _, weights = self.adapted
+    def beyond(self, l: int, X: ExactMatrix | None = None) -> ExactMatrix:
+        """The rows of Q beyond l (above l if increasing, below l if
+        decreasing), whose kernel is step(l); given X in adapted coordinates
+        (such as Q·B), the same rows of X."""
+        Q, weights = self.adapted
         if self.direction == self.INCREASING:
-            return [j for j, w in enumerate(weights) if w > l]
-        return [j for j, w in enumerate(weights) if w < l]
+            rows = [j for j, w in enumerate(weights) if w > l]
+        else:
+            rows = [j for j, w in enumerate(weights) if w < l]
+        return (Q if X is None else X)._rows_at(rows)
 
     def shift(self, offset: int) -> "Filtration":
         """Reindex: result.step(l) == self.step(l - offset).  An adapted basis
@@ -1104,20 +1108,6 @@ def induced_map_on_graded(M: ExactMatrix, W: Filtration, l: int, shift: int = 0)
     return W._graded_coordinates(tgt, M @ W.graded_basis(src))
 
 
-def _meet_coefficients(W: Filtration, l: int, QB: ExactMatrix) -> ExactMatrix | None:
-    """Columns spanning the coefficients c with B·c in W_l, where QB is Q·B for
-    W's adapted Q and B has independent columns; None when every c qualifies.
-
-    In the adapted basis W_l is a coordinate subspace, so the meet of W_l
-    with the span of B is B times the null space of the rows of QB beyond l.
-    """
-    rows = W._beyond(l)
-    if len(rows) == W.ambient_dim:
-        return ExactMatrix.zeros(QB.cols, 0)
-    block = QB._rows_at(rows)
-    return None if block.is_zero() else _null_generators(block).transpose()
-
-
 def induced_filtration_on_graded(V: Filtration, W: Filtration, l: int) -> Filtration:
     """The filtration V induces on Gr_l(W), in the graded_basis(l) quotient basis.
 
@@ -1136,7 +1126,7 @@ def induced_filtration_on_graded(V: Filtration, W: Filtration, l: int) -> Filtra
     prev: Subspace | None = None
     for p in order:
         QB = Q @ V.step(p).basis
-        K = _meet_coefficients(W, l, QB)
+        K = _meet_coefficients(W.beyond(l, QB))
         graded = QB._rows_at(at_l)
         sub = image(graded if K is None else graded @ K)
         if prev is None or sub != prev:
@@ -1157,7 +1147,7 @@ def bigraded_pieces(W1: Filtration, W2: Filtration) -> tuple[BigradedPiece, ...]
     corner basis, which works because nested canonical bases have nested
     pivot sets.  Each corner W1_a∩W2_b is met once, in W1's adapted basis:
     Q·B for B the basis of W2_b is formed once per b, and the corner is B
-    times the null space of its rows above a.
+    times the null space of its rows above a (zero when W1_a is).
     """
     Q, _ = W1.adapted
     coords: dict[int, ExactMatrix] = {}
@@ -1165,11 +1155,13 @@ def bigraded_pieces(W1: Filtration, W2: Filtration) -> tuple[BigradedPiece, ...]
 
     def corner(a: int, b: int) -> Subspace:
         if (a, b) not in corners:
-            step = W2.step(b)
-            if b not in coords:
-                coords[b] = Q @ step.basis
-            K = _meet_coefficients(W1, a, coords[b])
-            corners[(a, b)] = step if K is None else image(step.basis @ K)
+            step = W2.step(b) if W1.step(a).dim else W1.step(a)
+            if step.dim:
+                if b not in coords:
+                    coords[b] = Q @ step.basis
+                K = _meet_coefficients(W1.beyond(a, coords[b]))
+                step = step if K is None else image(step.basis @ K)
+            corners[(a, b)] = step
         return corners[(a, b)]
 
     pieces: list[BigradedPiece] = []

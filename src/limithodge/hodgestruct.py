@@ -26,10 +26,11 @@ from .exactla import (
     image,
     induced_filtration_on_graded,
     induced_map_on_graded,
-    intersect,
     kernel,
     maps_into,
     matrix_between,
+    meet,
+    rank,
     subspace_sum,
     vstack,
 )
@@ -131,8 +132,9 @@ def filtration_to_bigrading(F: Filtration, k: int) -> HodgeStructure:
     """Split a weight-k Hodge filtration into its (p, q) pieces.
 
     Checks the direct-sum condition H = F^p (+) conj(F^{k-p+1}) for every
-    p, then returns H^{p,q} = F^p intersect conj(F^q).  Raises
-    NotAHodgeFiltration when the condition fails.
+    p, then returns H^{p,q} = F^p ∩ conj(F^q), p and q between the lowest
+    and highest index of F.  Raises NotAHodgeFiltration when the condition
+    fails.
     """
     if F.direction != Filtration.DECREASING:
         raise ValueError("Hodge filtrations are decreasing")
@@ -141,23 +143,20 @@ def filtration_to_bigrading(F: Filtration, k: int) -> HodgeStructure:
     if not idx:
         raise ValueError("empty filtration")
     lo, hi = min(idx), max(idx)
-    p_lo, p_hi = min(lo, k - hi), max(hi, k - lo) + 1
-    conj_steps = {l: _conj_space(F.step(l)) for l in range(k - p_hi, k - p_lo + 2)}
-    for p in range(p_lo, p_hi + 1):
-        A = F.step(p)
-        B = conj_steps[k - p + 1]
-        if A.dim + B.dim != d or intersect(A, B).dim != 0:
+    for p in range(min(lo, k - hi), max(hi, k - lo) + 2):
+        A, B = F.step(p), F.step(k - p + 1)
+        if A.dim + B.dim != d or (
+                A.dim and B.dim and rank(A.basis.hstack(B.basis.conjugate())) != d):
             raise NotAHodgeFiltration(
                 f"H is not the direct sum of F^{p} and the conjugate of "
                 f"F^{k - p + 1}")
+    # the direct sums make F^lo = H, so F has an adapted basis
     pieces: Bigrading = {}
-    total = 0
-    for p in range(p_lo, p_hi + 1):
-        piece = intersect(F.step(p), conj_steps[k - p])
+    for p in range(max(lo, k - hi), min(hi, k - lo) + 1):
+        piece = meet(F.step(p), F.beyond(k - p).conjugate())
         if piece.dim:
             pieces[(p, k - p)] = piece
-            total += piece.dim
-    if total != d:
+    if sum(sub.dim for sub in pieces.values()) != d:
         raise NotAHodgeFiltration("bigraded pieces do not fill the space")
     hs = HodgeStructure(k, pieces)
     if hs.filtration() != F:
@@ -309,7 +308,8 @@ def _primitive_polarized(m: MixedHodge, N: ExactMatrix, S: ExactMatrix,
     steps: list[tuple[int, Subspace]] = []
     prev: Subspace | None = None
     for p in Fgr.indices():
-        sub = image(matrix_between(inclusion, intersect(Fgr.step(p), P), P))
+        # P = ker Ngr, so Fgr need not exhaust the space
+        sub = image(matrix_between(inclusion, meet(Fgr.step(p), Ngr), P))
         if prev is None or sub != prev:
             steps.append((p, sub))
             prev = sub
@@ -336,6 +336,8 @@ def deligne_bigrading(m: MixedHodge) -> Bigrading:
     I^{p,q} = F^p ∩ W_{p+q} ∩ (conj(F^q) ∩ W_{p+q}
               + sum_{j>=1} conj(F^{q-j}) ∩ W_{p+q-j-1}).
 
+    Every term lies in W_{p+q}, so I^{p,q} is F^p met with their sum (F
+    exhausts the space, and has an adapted basis, once ``mhs_check`` passes).
     I^{p,q} maps isomorphically onto its image in Gr_{p+q}(W), so only
     p + q with a nonzero graded piece is tried.  The result fills the
     space and splits both filtrations; that is re-verified before
@@ -349,27 +351,14 @@ def deligne_bigrading(m: MixedHodge) -> Bigrading:
     p_lo, p_hi = min(fidx) - 1, max(fidx) + 1
     levels = m.W.graded_range()
     w_lo = min(levels, default=0)
-    conj_f: dict[int, Subspace] = {}
-
-    def cF(q: int) -> Subspace:
-        if q not in conj_f:
-            conj_f[q] = _conj_space(m.F.step(q))
-        return conj_f[q]
-
     pieces: Bigrading = {}
     for k in levels:
-        Wl = m.W.step(k)
         for p in range(max(p_lo, k - p_hi), min(p_hi, k - p_lo) + 1):
             q = k - p
-            terms = [intersect(cF(q), Wl)]
-            j = 1
-            while k - j - 1 >= w_lo - 1:
-                Wj = m.W.step(k - j - 1)
-                if Wj.dim == 0:
-                    break
-                terms.append(intersect(cF(q - j), Wj))
-                j += 1
-            piece = intersect(intersect(m.F.step(p), Wl), subspace_sum(*terms))
+            # the term j >= 1 meets W_{k-j-1}, which is zero from j = k - w_lo on
+            terms = [meet(m.W.step(k - j - 1 if j else k), m.F.beyond(q - j).conjugate())
+                     for j in range(k - w_lo + 1)]
+            piece = meet(subspace_sum(*terms), m.F.beyond(p))
             if piece.dim:
                 pieces[(p, q)] = piece
     if sum(sub.dim for sub in pieces.values()) != d:

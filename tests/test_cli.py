@@ -604,6 +604,17 @@ def test_datum_hodge_and_polarization_must_match_the_dimension(tmp_path, capsys,
     assert error["message"].startswith(name)
 
 
+@pytest.mark.parametrize("command", ["stalk-cohomology", "mhs-check"])
+def test_datum_with_both_a_model_and_f_exits_2(tmp_path, capsys, command):
+    # a right-sized F that mhs-check used to ignore for the model's own filtration
+    F = {"ambient_dim": 2, "direction": "decreasing",
+         "steps": [{"l": 0, "basis": [[1, 0], [0, 1]]}, {"l": 1, "basis": [[0, 1]]}]}
+    path = _write_json(tmp_path / "datum.json", {"model": {"kind": "S", "m": 1}, "F": F})
+    code, error = _run_error([command, path], capsys)
+    assert (code, error["kind"]) == (2, "invalid-input")
+    assert error["message"] == f"{path}: give 'F' or a 'model', not both"
+
+
 # every error class of the library, with its builtin base and exit code
 _ERROR_CLASSES = [
     ("weightfilt", "NotNilpotent", ValueError, 3),

@@ -25,12 +25,12 @@ from limithodge.exactla import (
     image,
     induced_filtration_on_graded,
     induced_map_on_graded,
-    intersect,
     inverse,
     kernel,
     kron,
     maps_into,
     matrix_between,
+    meet,
     rank,
     scalar,
     solve,
@@ -98,8 +98,9 @@ def test_kernel_of_jordan_block():
 
 def test_intersect_transverse_lines():
     line1 = Subspace.from_columns(2, [[1, 1]])
-    line2 = Subspace.from_columns(2, [[1, 0]])
-    assert intersect(line1, line2) == Subspace.zero(2)
+    # the kernel of [0 1] is the line through (1, 0)
+    assert meet(line1, ExactMatrix([[0, 1]])) == Subspace.zero(2)
+    assert meet(line1, ExactMatrix([[1, -1]])) == line1
 
 
 def test_sum_of_axes_spans_plane():
@@ -110,7 +111,7 @@ def test_sum_of_axes_spans_plane():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        intersect(Subspace.full(2), Subspace.full(3))
+        meet(Subspace.full(2), ExactMatrix.identity(3))
 
 
 def test_rank_nullity_randomized():
@@ -127,9 +128,10 @@ def test_intersection_sum_dimension_formula_randomized():
     for _ in range(40):
         d = rng.randrange(1, 6)
         a = image(_random_matrix(rng, d, rng.randrange(1, d + 1)))
-        b = image(_random_matrix(rng, d, rng.randrange(1, d + 1)))
+        m = _random_matrix(rng, rng.randrange(1, d + 1), d)
+        b = kernel(m)
         c = image(_random_matrix(rng, d, rng.randrange(1, d + 1)))
-        both = intersect(a, b)
+        both = meet(a, m)
         either = subspace_sum(a, b)
         assert a.dim + b.dim == both.dim + either.dim
         assert subspace_sum(a, b, c) == subspace_sum(either, c)
@@ -404,7 +406,11 @@ def _columns(M: ExactMatrix) -> list[list[Pair]]:
     return [[_p(a) for a in col] for col in M.columns()]
 
 
-_small = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+# the values of st.fractions(-5, 5, max_denominator=7), each an integer over a
+# denominator in 1-7, drawn as one index into their list (zero first)
+_small = st.sampled_from(sorted(
+    {Fraction(n, d) for d in range(1, 8) for n in range(-5 * d, 5 * d + 1)},
+    key=lambda x: (abs(x), x)))
 _large = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30))
 _rationals = st.one_of(st.just(Fraction(0)), _small, _large)
 _nonzero_rationals = st.one_of(_small, _large).filter(bool)
@@ -581,21 +587,18 @@ def test_kernel_matches_reference(M):
 
 @_differential
 @given(st.data())
-def test_intersect_matches_reference(data):
+def test_meet_matches_reference(data):
+    """span(G) ∩ ker(M) = {G^T c : M G^T c = 0} for the rows G that span V,
+    with the null space and the canonical basis from the Fraction reference."""
     n = data.draw(st.integers(1, 5))
-    A = Subspace.from_columns(n, data.draw(_matrices(cols=n)).entries)
-    B = Subspace.from_columns(n, data.draw(_matrices(cols=n)).entries)
-    a_cols, b_cols = _columns(A.basis), _columns(B.basis)
-    expected: list[list[Pair]] = []
-    if a_cols and b_cols:
-        stacked = [[a[i] for a in a_cols] + [_psub(_PZERO, b[i]) for b in b_cols]
-                   for i in range(n)]
-        gens = []
-        for x in _ref_kernel(stacked, len(a_cols) + len(b_cols)):
-            gens.append([row[0] for row in _ref_matmul(
-                [[a[i] for a in a_cols] for i in range(n)], [[c] for c in x[:len(a_cols)]], 1)])
-        expected = _ref_rref(gens)[0]
-    assert _columns(intersect(A, B).basis) == expected
+    G = data.draw(_matrices(cols=n))
+    M = data.draw(_matrices(cols=n))
+    gens_t = [[row[i] for row in _pairs(G.entries)] for i in range(n)]
+    coefficients = _ref_kernel(_ref_matmul(_pairs(M.entries), gens_t, G.rows), G.rows)
+    spanned = [[row[0] for row in _ref_matmul(gens_t, [[c] for c in x], 1)]
+               for x in coefficients]
+    expected = _ref_rref(spanned)[0] if spanned else []
+    assert _columns(meet(Subspace.from_columns(n, G.entries), M).basis) == expected
 
 
 @_differential

@@ -45,7 +45,7 @@ SHAPES = (
 )
 
 # end-check on End(s11) works in a 256-dimensional End(End(H)) and takes
-# about 30 s, so it is left out
+# about 8 s on a 2-core host, so it is left out
 SLOW = {"end-check End(s11)"}
 
 # the datum files are dense Gaussian conjugates, so these pin printed bases

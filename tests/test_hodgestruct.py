@@ -1,8 +1,21 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from limithodge.exactla import ExactMatrix, Filtration, I, Subspace
+from limithodge import exactla
+from limithodge.exactla import (
+    ExactMatrix,
+    Filtration,
+    I,
+    Subspace,
+    apply_to_subspace,
+    exp_nilpotent,
+    image,
+    induced_filtration_on_graded,
+    subspace_sum,
+)
 from limithodge.hodgestruct import (
     MixedHodge,
     NotAHodgeFiltration,
@@ -17,8 +30,9 @@ from limithodge.hodgestruct import (
     weil_and_metric,
 )
 from limithodge.hodgestruct import _check_positive_definite
-from limithodge.sl2rep import build_model
+from limithodge.sl2rep import build_model, transport_model
 from limithodge.weightfilt import monodromy_weight_filtration
+from test_weightfilt import _dense_gaussian, _intersect, _shear
 
 
 def _limit_mixed(m: int) -> tuple[MixedHodge, ExactMatrix, ExactMatrix]:
@@ -60,7 +74,8 @@ def test_non_hodge_filtration_rejected():
                    [(0, Subspace.full(2)),
                     (1, Subspace.from_columns(2, [[1, 0]])),
                     (2, Subspace.zero(2))])
-    with pytest.raises(NotAHodgeFiltration):
+    # the real line F^1 meets its conjugate: the direct-sum check names it
+    with pytest.raises(NotAHodgeFiltration, match=r"sum of F\^1 and the conjugate of F\^1$"):
         filtration_to_bigrading(f, 1)
 
 
@@ -213,20 +228,99 @@ def test_nilpotent_is_minus_one_morphism_of_splitting():
 
 
 def test_canonical_bigrading_tries_only_weights_with_a_graded_piece(monkeypatch):
-    # E(16,0) (x) S(1): a square over the Hodge index range made 2,665 intersects
-    from limithodge import hodgestruct
-
+    # E(16,0) (x) S(1): a square over the Hodge index range made 2,665
+    # intersects; meets through the stacked bases [A | B] made 420 row
+    # reductions here, meets in F's adapted basis 275
     model = build_model("E", 1, 0, 0, 16, 0)
     n = model.action.nminus[0] + model.action.nminus[1]
     w = monodromy_weight_filtration(n, center=model.weight).filtration
     mixed = MixedHodge(w, model.limit_filtration())
     calls = [0]
-    intersect = hodgestruct.intersect
+    row_reduce = exactla._row_reduce
 
     def counted(*args):
         calls[0] += 1
-        return intersect(*args)
+        return row_reduce(*args)
 
-    monkeypatch.setattr(hodgestruct, "intersect", counted)
+    monkeypatch.setattr(exactla, "_row_reduce", counted)
     assert r_split_check(mixed) is True
-    assert calls[0] <= 300, f"{calls[0]} intersect calls"
+    assert calls[0] <= 300, f"{calls[0]} row reductions"
+
+
+# ----------------------------------------------------------------------
+# meets in F's adapted basis against intersections of bases
+
+
+def _conj(V: Subspace) -> Subspace:
+    return image(V.basis.conjugate())
+
+
+def _reference_bigrading(F: Filtration, k: int) -> dict | None:
+    """filtration_to_bigrading over the padded index range, every meet taken by
+    _intersect of canonical bases; None when a direct sum fails."""
+    d, idx = F.ambient_dim, F.indices()
+    ps = range(min(min(idx), k - max(idx)), max(max(idx), k - min(idx)) + 2)
+    for p in ps:
+        A, B = F.step(p), _conj(F.step(k - p + 1))
+        if A.dim + B.dim != d or _intersect(A, B).dim:
+            return None
+    pieces = {(p, k - p): _intersect(F.step(p), _conj(F.step(k - p))) for p in ps}
+    return {key: sub for key, sub in pieces.items() if sub.dim}
+
+
+def _reference_deligne(m: MixedHodge) -> dict:
+    """I^{p,q} = F^p ∩ W_{p+q} ∩ (conj(F^q) ∩ W_{p+q} + sum_{j>=1}
+    conj(F^{q-j}) ∩ W_{p+q-j-1}), over every p and every weight of W."""
+    F, W = m.F, m.W
+    fidx, widx = F.indices(), W.indices()
+    pieces = {}
+    for k in range(min(widx), max(widx) + 1):
+        for p in range(min(fidx) - 1, max(fidx) + 2):
+            q = k - p
+            terms = [_intersect(_conj(F.step(q - j)), W.step(k - j - 1 if j else k))
+                     for j in range(k - min(widx) + 2)]
+            piece = _intersect(_intersect(F.step(p), W.step(k)), subspace_sum(*terms))
+            if piece.dim:
+                pieces[(p, q)] = piece
+    return pieces
+
+
+def _pieces_or_none(F: Filtration, k: int) -> dict | None:
+    try:
+        return filtration_to_bigrading(F, k).bigrading
+    except NotAHodgeFiltration:
+        return None
+
+
+_SPLITTING_MODELS = {"S(1)xS(1)": ("S", 1, 1), "H(1)xS(1)": ("H", 1, 0, 1),
+                     "E(1,0)xS(1)": ("E", 1, 0, 0, 1, 0), "E(2,1)": ("E", 0, 0, 0, 2, 1)}
+
+
+@pytest.mark.parametrize("transport", ["split", "sheared", "dense Q(i)"])
+@pytest.mark.parametrize("label", sorted(_SPLITTING_MODELS))
+def test_hodge_and_deligne_pieces_match_intersections_of_bases(label, transport):
+    # dimension <= 4; the twelve cases take about 0.3 s together.  A dense
+    # transport makes W(N) non-real unless N = 0, so exp(iN) F, a mixed
+    # structure not split over R when N != 0, also meets Q(i) data where W
+    # is real
+    model = build_model(*_SPLITTING_MODELS[label])
+    conjugator = {"sheared": _shear, "dense Q(i)": _dense_gaussian}.get(transport)
+    if conjugator is not None:
+        model = transport_model(model, conjugator(random.Random(1), model.dim))
+    n = model.action.nminus[0] + model.action.nminus[1]
+    w = monodromy_weight_filtration(n, center=model.weight).filtration
+    limit = model.limit_filtration()
+    # a pure filtration, a mixed one read as pure, and each induced graded piece
+    for F, k in [(model.hodge_filtration(), model.weight), (limit, model.weight),
+                 *((induced_filtration_on_graded(limit, w, l), l) for l in w.graded_range())]:
+        assert _pieces_or_none(F, k) == _reference_bigrading(F, k)
+    twist = exp_nilpotent(n, I)
+    twisted = Filtration(model.dim, Filtration.DECREASING,
+                         [(p, apply_to_subspace(twist, sub)) for p, sub in limit.steps])
+    for F in (limit, twisted):
+        mixed = MixedHodge(w, F)
+        if mhs_check(mixed)["is_mhs"]:
+            assert deligne_bigrading(mixed) == _reference_deligne(mixed)
+        else:
+            with pytest.raises(NotAHodgeFiltration):
+                deligne_bigrading(mixed)
