@@ -355,9 +355,9 @@ def deligne_bigrading(m: MixedHodge) -> Bigrading:
     for k in levels:
         for p in range(max(p_lo, k - p_hi), min(p_hi, k - p_lo) + 1):
             q = k - p
-            # the term j >= 1 meets W_{k-j-1}, which is zero from j = k - w_lo on
+            # the term j >= 1 meets W_{k-j-1}, which is zero once j >= k - w_lo
             terms = [meet(m.W.step(k - j - 1 if j else k), m.F.beyond(q - j).conjugate())
-                     for j in range(k - w_lo + 1)]
+                     for j in range(max(1, k - w_lo))]
             piece = meet(subspace_sum(*terms), m.F.beyond(p))
             if piece.dim:
                 pieces[(p, q)] = piece
