@@ -463,6 +463,52 @@ def test_cone_independence_report_on_model_pair():
     assert sum(rep["graded_dims"].values()) == model.dim
 
 
+def _rebuilt_cone_report(Ns, samples: int, seed: int) -> dict:
+    """cone_independence_report by rebuilding each sample: the same draws of
+    random.Random(seed), each W(sum lambda_i N_i) compared with the base."""
+    rng = random.Random(seed)
+    base = cone_filtration(Ns, [1] * len(Ns))
+    tried = [["1"] * len(Ns)]
+    independent = True
+    for _ in range(samples):
+        lams = [Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in Ns]
+        tried.append([str(l) for l in lams])
+        if cone_filtration(Ns, lams) != base:
+            independent = False
+            break
+    return {"independent": independent, "samples": tried,
+            "graded_dims": {str(l): dval for l, dval in base.graded_dims().items()}}
+
+
+def _j3_pair() -> tuple[ExactMatrix, ExactMatrix]:
+    """N1 = J3 and N2 = -J3 + J3^2: they commute but are no orbit, since
+    W(N1 + N2) = W(J3^2) while W(lambda_1 N1 + lambda_2 N2) = W(J3) for
+    lambda_1 != lambda_2 (datums/cone-dependent-j3.json)."""
+    j = _jordan(3)
+    return j, j @ j - j
+
+
+# about 0.3 s for the five cases together
+@pytest.mark.parametrize("case", [*sorted(_MEET_CASES), "J3 pair"])
+def test_certified_cone_report_matches_rebuilding_each_sample(case):
+    if case == "J3 pair":
+        # seeds 5 and 13 first draw lambda_1 = lambda_2, so the report stops at
+        # the second sample there and at the first under seed 0
+        Ns, seeds = _j3_pair(), (0, 5, 13)
+    else:
+        Ns, seeds = _transported(case).action.nminus, (0, 1, 2)
+    for seed in seeds:
+        assert cone_independence_report(Ns, samples=4, seed=seed) == \
+            _rebuilt_cone_report(Ns, 4, seed)
+
+
+def test_cone_report_builds_only_the_base_filtration():
+    n1, n2 = _transported("S(2)xS(1) dense Q(i)").action.nminus
+    _weight_filtration.cache_clear()
+    assert cone_independence_report([n1, n2], samples=10)["independent"] is True
+    assert _weight_filtration.cache_info().misses == 1
+
+
 # ----------------------------------------------------------------------
 # relative weight filtrations
 
