@@ -473,7 +473,7 @@ def _cmd_mhs_check(args: argparse.Namespace) -> dict:
         "is_mhs": rep["is_mhs"],
         "weight_real": rep["weight_real"],
         "levels": rep["levels"],
-        "r_split": r_split_check(mixed),
+        "r_split": r_split_check(mixed, rep),
     }
     if datum.polarization is not None:
         results["polarized"] = polarized_mhs_check(mixed, total, datum.polarization, center)

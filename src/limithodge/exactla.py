@@ -18,6 +18,7 @@ where a caller reads them.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
@@ -733,12 +734,22 @@ def _pivot_coordinates(U: Subspace, X: ExactMatrix) -> ExactMatrix | None:
 
     The columns' entries at U's pivots are their coordinates when they
     lie in U (the residual of :meth:`Subspace._residual`, for all
-    columns at once), so one product and one comparison decide it.
+    columns at once), so one product and one comparison decide it.  The
+    pivot rows of the canonical basis are identity rows, so only the
+    other rows are compared: none for the whole space, all of X (which
+    must be zero) for the zero space.
     """
     if X.rows != U.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    C = X._rows_at(U.pivots())
-    return C if U.basis @ C == X else None
+    pivots = U.pivots()
+    if len(pivots) == U.ambient_dim:
+        return X
+    C = X._rows_at(pivots)
+    if not pivots:
+        return C if X.is_zero() else None
+    pivot_set = set(pivots)
+    rest = [i for i in range(U.ambient_dim) if i not in pivot_set]
+    return C if U.basis._rows_at(rest) @ C == X._rows_at(rest) else None
 
 
 def _row_space(M: ExactMatrix) -> Subspace:
@@ -893,25 +904,33 @@ def inverse(M: ExactMatrix) -> ExactMatrix:
     return red._map(n, lambda rows: [row[n:] for row in rows])
 
 
+@lru_cache(maxsize=32)  # an op asks for a handful of operators; each chain is formed once
+def _power_chain(N: ExactMatrix) -> tuple[ExactMatrix, ...] | None:
+    """(N^0, N^1, ..., N^e) of a square N, up to its first zero power N^e,
+    or None when N^dim is not zero (N is not nilpotent)."""
+    powers = [ExactMatrix.identity(N.rows)]
+    while not powers[-1].is_zero():
+        if len(powers) > N.rows:
+            return None
+        powers.append(powers[-1] @ N)
+    return tuple(powers)
+
+
 def exp_nilpotent(N: ExactMatrix, coeff: ScalarLike = 1) -> ExactMatrix:
     """exp(coeff * N) for nilpotent N — an exact polynomial sum."""
     if N.rows != N.cols:
         raise ValueError("non-square matrix")
-    n = N.rows
+    powers = _power_chain(N)
+    if powers is None:
+        raise ValueError("matrix is not nilpotent")
     c = scalar(coeff)
-    term = ExactMatrix.identity(n)
-    total = term
+    total = powers[0]
     power = ONE
     fact = 1
-    for k in range(1, n + 1):
-        term = term @ N
-        if term.is_zero():
-            break
+    for k, term in enumerate(powers[1:-1], start=1):
         power = power * c
         fact *= k
         total = total + term.scale(power * Scalar(Fraction(1, fact)))
-    if not term.is_zero():
-        raise ValueError("matrix is not nilpotent")
     return total
 
 
@@ -964,6 +983,18 @@ class Filtration:
         self.direction = direction
         self.steps = tuple(ordered)
         self._adapted: tuple[ExactMatrix, tuple[int, ...]] | None = None
+
+    @classmethod
+    def _nested(cls, ambient_dim: int, direction: str,
+                steps: Sequence[tuple[int, Subspace]]) -> "Filtration":
+        """A filtration from distinct-index steps of that ambient dimension that
+        are nested by construction, so nothing is re-checked."""
+        out = object.__new__(cls)
+        out.ambient_dim = ambient_dim
+        out.direction = direction
+        out.steps = tuple(sorted(steps, key=lambda t: t[0]))
+        out._adapted = None
+        return out
 
     @staticmethod
     def from_generators(ambient_dim: int, direction: str,
@@ -1064,8 +1095,8 @@ class Filtration:
     def shift(self, offset: int) -> "Filtration":
         """Reindex: result.step(l) == self.step(l - offset).  An adapted basis
         already computed carries over with its weights moved by the offset."""
-        out = Filtration(self.ambient_dim, self.direction,
-                         [(l + offset, sub) for l, sub in self.steps])
+        out = Filtration._nested(self.ambient_dim, self.direction,
+                                 [(l + offset, sub) for l, sub in self.steps])
         if self._adapted is not None:
             Q, weights = self._adapted
             out._adapted = (Q, tuple(w + offset for w in weights))
@@ -1109,30 +1140,41 @@ def induced_map_on_graded(M: ExactMatrix, W: Filtration, l: int, shift: int = 0)
 
 
 def induced_filtration_on_graded(V: Filtration, W: Filtration, l: int) -> Filtration:
-    """The filtration V induces on Gr_l(W), in the graded_basis(l) quotient basis.
+    """The filtration V induces on Gr_l(W); see :func:`induced_filtrations_on_graded`."""
+    return induced_filtrations_on_graded(V, W, [l])[l]
+
+
+def induced_filtrations_on_graded(V: Filtration, W: Filtration,
+                                  levels: Iterable[int]) -> dict[int, Filtration]:
+    """The filtration V induces on Gr_l(W) for each l of levels, each in the
+    graded_basis(l) quotient basis.
 
     Step p is the image of V_p ∩ W_l in Gr_l: the weight-l rows of Q·B
     times the null space of its rows beyond l, Q from W's adapted basis
-    and B the basis of V_p.  Equal consecutive steps are merged keeping
-    the index that the saturation convention needs: the lowest for an
-    increasing V, the highest for a decreasing one.
+    and B the basis of V_p; Q·B is formed once per step for all levels.
+    Equal consecutive steps are merged keeping the index that the
+    saturation convention needs: the lowest for an increasing V, the
+    highest for a decreasing one.  The steps are nested because the V_p
+    are, so they are not re-checked.
     """
+    levels = list(levels)
+    if not levels:
+        return {}
     Q, weights = W.adapted
-    at_l = [j for j, w in enumerate(weights) if w == l]
+    at = {l: [j for j, w in enumerate(weights) if w == l] for l in levels}
     order = V.indices()
     if V.direction == Filtration.DECREASING:
         order = list(reversed(order))
-    steps: list[tuple[int, Subspace]] = []
-    prev: Subspace | None = None
+    steps: dict[int, list[tuple[int, Subspace]]] = {l: [] for l in at}
     for p in order:
         QB = Q @ V.step(p).basis
-        K = _meet_coefficients(W.beyond(l, QB))
-        graded = QB._rows_at(at_l)
-        sub = image(graded if K is None else graded @ K)
-        if prev is None or sub != prev:
-            steps.append((p, sub))
-            prev = sub
-    return Filtration(len(at_l), V.direction, steps)
+        for l, rows in at.items():
+            K = _meet_coefficients(W.beyond(l, QB))
+            graded = QB._rows_at(rows)
+            sub = image(graded if K is None else graded @ K)
+            if not steps[l] or sub != steps[l][-1][1]:
+                steps[l].append((p, sub))
+    return {l: Filtration._nested(len(rows), V.direction, steps[l]) for l, rows in at.items()}
 
 
 BigradedPiece = tuple[int, int, tuple[tuple[Scalar, ...], ...]]

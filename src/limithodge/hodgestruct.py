@@ -25,6 +25,7 @@ from .exactla import (
     determinant,
     image,
     induced_filtration_on_graded,
+    induced_filtrations_on_graded,
     induced_map_on_graded,
     kernel,
     maps_into,
@@ -230,10 +231,7 @@ def mhs_check(m: MixedHodge) -> dict:
     levels = []
     is_mhs = weight_real
     if weight_real:
-        for l in m.W.graded_range():
-            if m.W.graded_dim(l) == 0:
-                continue
-            induced = induced_filtration_on_graded(m.F, m.W, l)
+        for l, induced in induced_filtrations_on_graded(m.F, m.W, m.W.graded_range()).items():
             try:
                 filtration_to_bigrading(induced, l)
                 pure = True
@@ -330,7 +328,7 @@ def _primitive_polarized(m: MixedHodge, N: ExactMatrix, S: ExactMatrix,
 # canonical bigrading of a mixed structure
 
 
-def deligne_bigrading(m: MixedHodge) -> Bigrading:
+def deligne_bigrading(m: MixedHodge, report: dict | None = None) -> Bigrading:
     """The canonical bigraded splitting I^{p,q} of a mixed structure.
 
     I^{p,q} = F^p ∩ W_{p+q} ∩ (conj(F^q) ∩ W_{p+q}
@@ -341,9 +339,10 @@ def deligne_bigrading(m: MixedHodge) -> Bigrading:
     I^{p,q} maps isomorphically onto its image in Gr_{p+q}(W), so only
     p + q with a nonzero graded piece is tried.  The result fills the
     space and splits both filtrations; that is re-verified before
-    returning.
+    returning.  ``report`` is ``mhs_check(m)`` when the caller has it
+    already, so the guard does not run the check again.
     """
-    rep = mhs_check(m)
+    rep = mhs_check(m) if report is None else report
     if not rep["is_mhs"]:
         raise NotAHodgeFiltration("the pair (W, F) is not a mixed Hodge structure")
     d = m.ambient_dim
@@ -375,9 +374,10 @@ def deligne_bigrading(m: MixedHodge) -> Bigrading:
     return dict(sorted(pieces.items()))
 
 
-def r_split_check(m: MixedHodge) -> bool:
-    """True when the canonical bigrading satisfies I^{p,q} = conj(I^{q,p})."""
-    pieces = deligne_bigrading(m)
+def r_split_check(m: MixedHodge, report: dict | None = None) -> bool:
+    """True when the canonical bigrading satisfies I^{p,q} = conj(I^{q,p});
+    ``report`` as for :func:`deligne_bigrading`."""
+    pieces = deligne_bigrading(m, report)
     for (p, q), sub in pieces.items():
         mirror = pieces.get((q, p))
         if mirror is None or _conj_space(sub) != mirror:

@@ -20,7 +20,8 @@ from .exactla import (
     Filtration,
     Subspace,
     _null_generators,
-    induced_filtration_on_graded,
+    _power_chain,
+    induced_filtrations_on_graded,
     image,
     induced_map_on_graded,
     rank,
@@ -79,18 +80,17 @@ class WeightFiltration:
         return self.center == other.center and self.filtration == other.filtration
 
 
-def _nilpotent_powers(N: ExactMatrix) -> list[ExactMatrix]:
-    """[N^0, N^1, ..., N^e] up to the first zero power N^e.
+def _nilpotent_powers(N: ExactMatrix) -> tuple[ExactMatrix, ...]:
+    """(N^0, N^1, ..., N^e) up to the first zero power N^e, from the shared
+    chain of ``exactla``, which forms it once per operator.
 
     Raises NotNilpotent when N^dim is not zero.
     """
     if N.rows != N.cols:
         raise ValueError("nilpotent endomorphism must be square")
-    powers = [ExactMatrix.identity(N.rows)]
-    while not powers[-1].is_zero():
-        if len(powers) > N.rows:
-            raise NotNilpotent(f"matrix of size {N.rows} does not power to zero")
-        powers.append(powers[-1] @ N)
+    powers = _power_chain(N)
+    if powers is None:
+        raise NotNilpotent(f"matrix of size {N.rows} does not power to zero")
     return powers
 
 
@@ -123,23 +123,32 @@ def _weight_filtration(N: ExactMatrix) -> WeightFiltration:
     d = N.rows
     nilindex = len(powers) - 1  # smallest e with N^e = 0
 
-    # generators of ker N^a for a = 1..e, as columns; N^e = 0, so the last is the
+    # generators of ker N^a for a = 1..e-1, as columns; N^e = 0, so ker N^e is the
     # whole space.  They are only spanned, and each step's image is canonical.
-    kernels = [None, *(_null_generators(powers[a]).transpose() for a in range(1, nilindex)),
-               ExactMatrix.identity(d)]
+    kernels = [None, *(_null_generators(powers[a]).transpose() for a in range(1, nilindex))]
 
+    # N^j ker(N^a), formed once: a step and the next share most terms, and a
+    # factor N^0 or ker(N^e) (the whole space) needs no product
+    products: dict[tuple[int, int], ExactMatrix] = {}
+
+    def term(j: int, a: int) -> ExactMatrix:
+        if (j, a) not in products:
+            products[(j, a)] = (powers[j] if a == nilindex else kernels[a] if j == 0
+                                else powers[j] @ kernels[a])
+        return products[(j, a)]
+
+    # each term grows with k and the range of j only widens, so the steps are nested
     steps: list[tuple[int, Subspace]] = []
     prev: Subspace | None = None
     for k in range(-nilindex, nilindex + 1):
-        terms = [powers[j] @ kernels[min(k + 2 * j + 1, nilindex)]
-                 for j in range(max(0, -k), nilindex)]
+        terms = [term(j, min(k + 2 * j + 1, nilindex)) for j in range(max(0, -k), nilindex)]
         acc = image(terms[0].hstack(*terms[1:])) if terms else Subspace.zero(d)
         if prev is None or acc != prev:
             steps.append((k, acc))
             prev = acc
         if acc.dim == d:
             break
-    filt = Filtration(d, Filtration.INCREASING, steps)
+    filt = Filtration._nested(d, Filtration.INCREASING, steps)
     _verify_weight_axioms(N, filt)
     return WeightFiltration(filt, N, 0)
 
@@ -177,10 +186,17 @@ def _verify_weight_axioms(N: ExactMatrix, filt: Filtration) -> None:
 
 
 def commuting_check(Ns: Sequence[ExactMatrix]) -> None:
+    """Raise NonCommuting unless every two of the Ns commute; each pair's
+    verdict is formed once and NonCommuting is raised anew on every call."""
     for i in range(len(Ns)):
         for j in range(i + 1, len(Ns)):
-            if not Ns[i].commutator(Ns[j]).is_zero():
+            if not _commute(Ns[i], Ns[j]):
                 raise NonCommuting(f"matrices {i} and {j} do not commute")
+
+
+@lru_cache(maxsize=32)  # an op checks one pair, from the datum, the cone and the growth memo
+def _commute(A: ExactMatrix, B: ExactMatrix) -> bool:
+    return A.commutator(B).is_zero()
 
 
 def cone_filtration(Ns: Sequence[ExactMatrix],
@@ -248,10 +264,11 @@ def relative_weight_check(N1: ExactMatrix, N2: ExactMatrix) -> dict:
     """
     W = cone_filtration([N1, N2], [1, 1])  # checks first that N1 and N2 commute
     W1 = monodromy_weight_filtration(N1)
+    induced_all = induced_filtrations_on_graded(W.filtration, W1.filtration,
+                                                W1.filtration.graded_range())
     details = []
     agree = True
-    for k in W1.filtration.graded_range():
-        induced = induced_filtration_on_graded(W.filtration, W1.filtration, k)
+    for k, induced in induced_all.items():
         n2_gr = induced_map_on_graded(N2, W1.filtration, k)
         expected = monodromy_weight_filtration(n2_gr, center=k)
         los = min(induced.indices() + expected.filtration.indices()) - 1

@@ -192,6 +192,17 @@ def test_mhs_check_on_builtin_model(capsys):
     assert results["polarized"]["all_pass"] is True
 
 
+# about 0.02 s
+def test_mhs_check_forms_its_mixed_structure_report_once(monkeypatch, capsys):
+    from limithodge import hodgestruct
+
+    calls = []
+    check = hodgestruct.mhs_check
+    monkeypatch.setattr(hodgestruct, "mhs_check", lambda m: calls.append(m) or check(m))
+    assert _run_json(["mhs-check", "s21"], capsys)["results"]["r_split"] is True
+    assert len(calls) == 1
+
+
 def test_mhs_check_requires_a_filtration(tmp_path, capsys):
     path = _jordan_datum(tmp_path)
     code, error = _run_error(["mhs-check", path], capsys)

@@ -197,7 +197,7 @@ def test_exp_nilpotent_jordan3():
 
 
 def test_exp_nilpotent_rejects_non_nilpotent():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix is not nilpotent"):
         exp_nilpotent(ExactMatrix.identity(2))
 
 
@@ -206,9 +206,33 @@ def test_exp_nilpotent_rejects_non_nilpotent():
 
 
 def test_filtration_requires_nesting():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not nested between indices -1 and 0"):
         Filtration.from_generators(2, Filtration.INCREASING,
                                    [(-1, [[0, 1]]), (0, [[1, 0]])])
+
+
+# about 0.01 s
+def test_membership_compares_the_rows_off_the_pivots():
+    # pivots 0 and 1, so row 2 is the one row a member is compared on
+    U = Subspace.from_columns(3, [[1, 0, 2], [0, 1, 3]])
+    full, zero = Subspace.full(3), Subspace.zero(3)
+    member = ExactMatrix([[1], [1], [5]])
+    line = Subspace.full(1)
+    for off in ([[1], [1], [6]], [[1], [1], [Scalar(5, 1)]]):
+        off = ExactMatrix(off)
+        assert not U.contains(image(off))
+        assert not maps_into(off, line, U)
+        with pytest.raises(ValueError):
+            matrix_between(off, line, U)
+    assert U.contains(image(member)) and maps_into(member, line, U)
+    assert matrix_between(member, line, U) == ExactMatrix([[1], [1]])
+    M = ExactMatrix([[1, I, 0], [2, 0, Fraction(1, 3)], [0, 1, 1]])
+    assert full.contains(U) and full.contains(zero) and zero.contains(zero)
+    assert not zero.contains(U) and not U.contains(full)
+    assert maps_into(M, full, full) and matrix_between(M, full, full) == M
+    assert maps_into(M, zero, zero) and not maps_into(M, full, zero)
+    assert maps_into(ExactMatrix.zeros(3, 3), full, zero)
+    assert matrix_between(M, zero, U) == ExactMatrix.zeros(2, 0)
 
 
 def test_filtration_saturates_outside_range():

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limithodge import exactla, l2complex, weightfilt
-from limithodge.datum import MonodromyDatum, corpus_entry
+from limithodge.datum import MonodromyDatum, corpus_entry, standard_corpus
 from limithodge.exactla import (
     ExactMatrix,
     Filtration,
@@ -22,6 +24,7 @@ from limithodge.exactla import (
     determinant,
     image,
     induced_filtration_on_graded,
+    induced_filtrations_on_graded,
     induced_map_on_graded,
     inverse,
     kernel,
@@ -317,6 +320,121 @@ def test_meets_in_the_adapted_basis_match_intersect(case):
     for p in F.graded_range():
         assert [(l, sub.basis) for l, sub in induced_filtration_on_graded(cone, F, p).steps] \
             == _reference_induced(cone, F, p)
+
+
+def _induced_pairs(datum: MonodromyDatum) -> list[tuple[Filtration, Filtration]]:
+    """(V, W) as relative-weight and mhs-check meet them: the cone over W(N1),
+    the limit F over the recentred cone, and the cone over a decreasing F."""
+    n1, n2 = datum.n1, datum.n2
+    cone = monodromy_weight_filtration(n1 + n2).filtration
+    pairs = [(cone, monodromy_weight_filtration(n1).filtration)]
+    if datum.model is not None:
+        F = datum.model.limit_filtration()
+        recentred = monodromy_weight_filtration(n1 + n2, center=datum.weight).filtration
+        pairs += [(F, recentred), (cone, F)]
+    return pairs
+
+
+def _assert_levels_together_match_one_at_a_time(V: Filtration, W: Filtration) -> None:
+    levels = W.graded_range()
+    together = induced_filtrations_on_graded(V, W, levels)
+    assert list(together) == levels
+    for l in levels:
+        alone = induced_filtrations_on_graded(V, W, [l])[l]
+        assert [(p, sub.basis) for p, sub in together[l].steps] \
+            == [(p, sub.basis) for p, sub in alone.steps] == _reference_induced(V, W, l)
+        assert together[l].ambient_dim == alone.ambient_dim == W.graded_dim(l)
+
+
+# about 0.1 s
+def test_induced_filtrations_for_all_levels_match_one_level_on_the_corpus():
+    for datum in standard_corpus():
+        for V, W in _induced_pairs(datum):
+            _assert_levels_together_match_one_at_a_time(V, W)
+    assert induced_filtrations_on_graded(Filtration(2, Filtration.INCREASING, []),
+                                         Filtration(2, Filtration.INCREASING, []), []) == {}
+
+
+@st.composite
+def _transported_models(draw):
+    """A split model S(m)⊗S(n) of dimension <= 6 moved by a drawn unipotent
+    P = LU with integer or Gaussian-integer entries."""
+    m, n = draw(st.sampled_from([(1, 0), (0, 2), (1, 1), (2, 1)]))
+    model = build_model("S", m, n)
+    d = model.dim
+    gaussian = draw(st.booleans())
+
+    def entry():
+        return Scalar(draw(_small_ints), draw(_small_ints)) if gaussian else draw(_small_ints)
+
+    lower = [[1 if i == j else entry() if i > j else 0 for j in range(d)] for i in range(d)]
+    upper = [[1 if i == j else entry() if i < j else 0 for j in range(d)] for i in range(d)]
+    return transport_model(model, ExactMatrix(lower) @ ExactMatrix(upper))
+
+
+# about 0.6 s for 25 draws
+@settings(max_examples=25, deadline=None)
+@given(_transported_models())
+def test_induced_filtrations_for_all_levels_match_one_level_on_transports(model):
+    for V, W in _induced_pairs(MonodromyDatum.from_model(model)):
+        _assert_levels_together_match_one_at_a_time(V, W)
+
+
+# about 0.2 s for the four cases together
+@pytest.mark.parametrize("case", sorted(_MEET_CASES))
+def test_induced_filtrations_for_all_levels_match_one_level_on_conjugates(case):
+    for V, W in _induced_pairs(MonodromyDatum.from_model(_transported(case))):
+        _assert_levels_together_match_one_at_a_time(V, W)
+
+
+# about 0.1 s for the four cases together
+@pytest.mark.parametrize("case", sorted(_MEET_CASES))
+def test_filtrations_built_without_the_nesting_check_pass_it(case):
+    datum = MonodromyDatum.from_model(_transported(case))
+    built = [monodromy_weight_filtration(N, center=datum.weight).filtration
+             for N in (datum.n1, datum.n1 + datum.n2)]
+    for V, W in _induced_pairs(datum):
+        built += induced_filtrations_on_graded(V, W, W.graded_range()).values()
+    for f in built:
+        assert Filtration(f.ambient_dim, f.direction, f.steps) == f
+
+
+# about 0.05 s
+def test_a_cone_op_checks_its_pair_once_and_forms_each_power_chain_once(monkeypatch):
+    """One op as cone-gaussian runs it, on a dense Q(i) pair: the cone report,
+    the relative check, the datum, its Koszul cohomology and the stalk complex
+    with its two-chart cover."""
+    payload = json.loads((DATUMS / "gaussian-s11-plus-s10.json").read_text())
+    n1, n2 = matrix_from_json(payload["N1"]), matrix_from_json(payload["N2"])
+    commutators: Counter = Counter()
+    chains: Counter = Counter()
+    commutator = ExactMatrix.commutator
+
+    def counted_commutator(A, B):
+        commutators[frozenset((A, B))] += 1
+        return commutator(A, B)
+
+    def counted_chain(N):
+        chains[N] += 1
+        return build_chain(N)
+
+    build_chain = exactla._power_chain.__wrapped__
+    chain = lru_cache(maxsize=32)(counted_chain)
+    monkeypatch.setattr(ExactMatrix, "commutator", counted_commutator)
+    monkeypatch.setattr(exactla, "_power_chain", chain)
+    monkeypatch.setattr(weightfilt, "_power_chain", chain)
+    for memo in (weightfilt._commute, _weight_filtration, l2complex._bilevel_pieces):
+        memo.cache_clear()
+    assert cone_independence_report([n1, n2], samples=1)["independent"] is True
+    assert relative_weight_check(n1, n2)["agree"] is True
+    datum = MonodromyDatum(0, n1, n2)
+    assert l2complex.koszul_cohomology(datum) == (2, 4, 2)
+    complex_ = build_stalk_complex(datum)
+    assert hypercohomology(complex_) == (2, 0, 0)
+    l2complex.total_cohomology(l2complex.two_chart_cover(complex_))
+    assert commutators == {frozenset((n1, n2)): 1}
+    assert {n1, n2, n1 + n2} <= set(chains)
+    assert set(chains.values()) == {1}
 
 
 # ----------------------------------------------------------------------
