@@ -233,13 +233,15 @@ def _transposed(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
 
 
 def _combine(x: list | None, y: list | None, sign: int = 1) -> list | None:
-    """x + sign*y on (possibly nested) integer lists, with None as zero."""
+    """x + sign*y on integer vectors or rows of them, with None as zero."""
     if y is None:
         return x
     if x is None:
         return y if sign == 1 else _scaled(y, -1)
     if x and isinstance(x[0], list):
-        return [_combine(a, b, sign) for a, b in zip(x, y)]
+        if sign == 1:
+            return [[a + b for a, b in zip(r, s)] for r, s in zip(x, y)]
+        return [[a - b for a, b in zip(r, s)] for r, s in zip(x, y)]
     return [a + sign * b for a, b in zip(x, y)]
 
 
@@ -266,17 +268,22 @@ def _common_form(ms: Sequence["ExactMatrix"]) -> tuple[int, list[tuple[list, lis
     """A common denominator of ms and each one's (re, im) numerator rows over it.
 
     The imaginary rows are None for every matrix when all are real, and
-    zeros for the real ones otherwise.
+    zeros for the real ones otherwise.  A matrix already over the common
+    denominator hands on its own rows, which is safe because no code
+    writes to a matrix's rows after construction.
     """
     den = lcm(*(m.den for m in ms))
     gaussian = any(m.im is not None for m in ms)
     parts = []
     for m in ms:
-        im = m.im
+        re, im = m.re, m.im
+        s = den // m.den
+        if s != 1:
+            re = _scaled(re, s)
+            im = None if im is None else _scaled(im, s)
         if im is None and gaussian:
             im = [[0] * m.cols for _ in range(m.rows)]
-        s = den // m.den
-        parts.append((_scaled(m.re, s), None if im is None else _scaled(im, s)))
+        parts.append((re, im))
     return den, parts
 
 
@@ -520,6 +527,8 @@ class ExactMatrix:
         return self._map(self.cols, lambda rows: _scaled(rows, -1))
 
     def scale(self, c: ScalarLike) -> "ExactMatrix":
+        if type(c) is int:
+            return self._map(self.cols, lambda rows: _scaled(rows, c))
         dc, (cre,), cim = _vector_form([c])
         re, im = _gaussian_product(_scaled, self.re, self.im, cre, None if cim is None else cim[0])
         return ExactMatrix._from_ints(self.cols, self.den * dc, re, im)

@@ -22,9 +22,9 @@ from .exactla import (
     ONE,
     Scalar,
     Subspace,
+    _power_chain,
     determinant,
     image,
-    induced_filtration_on_graded,
     induced_filtrations_on_graded,
     induced_map_on_graded,
     kernel,
@@ -79,7 +79,8 @@ class HodgeStructure:
         for p in ps:
             acc = subspace_sum(acc, self.bigrading[(p, self.weight - p)])
             steps.append((p, acc))
-        return Filtration(d, Filtration.DECREASING, steps)
+        # each step is a running sum, so it contains every later one
+        return Filtration._nested(d, Filtration.DECREASING, steps)
 
 
 @dataclass(frozen=True)
@@ -254,9 +255,12 @@ def polarized_mhs_check(m: MixedHodge, N: ExactMatrix, S: ExactMatrix,
         raise ValueError("the nilpotent operator must be real")
     if S.conjugate() != S:
         raise ValueError("the form must be real")
-    d = m.ambient_dim
     report: dict = {}
-    report["nilpotent_order"] = k >= 0 and N.power(k + 1).is_zero()
+    if k >= 0 and N.rows != N.cols:  # N^(k+1) is undefined
+        raise ValueError("power of a non-square matrix")
+    # (N^0, ..., N^e) with N^e = 0, or None when N is not nilpotent
+    powers = _power_chain(N) if N.rows == N.cols else None
+    report["nilpotent_order"] = k >= 0 and powers is not None and len(powers) - 1 <= k + 1
     try:
         expected = monodromy_weight_filtration(N, center=k)
         report["weight_filtration"] = expected.filtration == m.W
@@ -272,12 +276,14 @@ def polarized_mhs_check(m: MixedHodge, N: ExactMatrix, S: ExactMatrix,
     primitive_ok = True
     details = []
     if report["weight_filtration"]:
-        for l in range(0, max(m.W.graded_range(), default=k) - k + 1):
-            g = m.W.graded_dim(k + l)
-            if g == 0:
-                continue
-            ok, why = _primitive_polarized(m, N, S, k, l)
-            details.append({"l": l, "dim": g, "polarized": ok, "detail": why})
+        # W is W(N) recentered at k, so N is nilpotent and W exhausts the space
+        dims = {l: m.W.graded_dim(k + l)
+                for l in range(0, max(m.W.graded_range(), default=k) - k + 1)}
+        levels = [l for l, g in dims.items() if g]
+        induced = induced_filtrations_on_graded(m.F, m.W, [k + l for l in levels])
+        for l in levels:
+            ok, why = _primitive_polarized(m, powers, S, k, l, induced[k + l])
+            details.append({"l": l, "dim": dims[l], "polarized": ok, "detail": why})
             primitive_ok = primitive_ok and ok
     else:
         primitive_ok = False
@@ -289,16 +295,18 @@ def polarized_mhs_check(m: MixedHodge, N: ExactMatrix, S: ExactMatrix,
     return report
 
 
-def _primitive_polarized(m: MixedHodge, N: ExactMatrix, S: ExactMatrix,
-                         k: int, l: int) -> tuple[bool, str]:
-    """Check the primitive part of Gr_{k+l} against S(. , N^l .)."""
-    Ngr = induced_map_on_graded(N.power(l + 1), m.W, k + l, shift=-2 * (l + 1))
+def _primitive_polarized(m: MixedHodge, powers: tuple[ExactMatrix, ...], S: ExactMatrix,
+                         k: int, l: int, Fgr: Filtration) -> tuple[bool, str]:
+    """Check the primitive part of Gr_{k+l} against S(. , N^l .); powers is
+    the chain (N^0, ..., N^e) of N, N^e = 0, and Fgr the filtration F
+    induces on Gr_{k+l}."""
+    top = len(powers) - 1
+    Ngr = induced_map_on_graded(powers[min(l + 1, top)], m.W, k + l, shift=-2 * (l + 1))
     P = kernel(Ngr)
     if P.dim == 0:
         return True, "trivial"
     L = m.W.graded_basis(k + l)
-    Sgr = L.transpose() @ S @ N.power(l) @ L
-    Fgr = induced_filtration_on_graded(m.F, m.W, k + l)
+    Sgr = L.transpose() @ S @ powers[min(l, top)] @ L
     # coordinates inside P (its canonical basis is real since the data is)
     if not P.basis.is_real():
         return False, "primitive space is not defined over the reals"
@@ -311,7 +319,8 @@ def _primitive_polarized(m: MixedHodge, N: ExactMatrix, S: ExactMatrix,
         if prev is None or sub != prev:
             steps.append((p, sub))
             prev = sub
-    FP = Filtration(P.dim, Filtration.DECREASING, steps)
+    # the meets of nested steps with one kernel, in coordinates, stay nested
+    FP = Filtration._nested(P.dim, Filtration.DECREASING, steps)
     SP = P.basis.transpose() @ Sgr @ P.basis
     try:
         hs = filtration_to_bigrading(FP, k + l)

@@ -25,10 +25,10 @@ from functools import lru_cache
 from . import InternalInvariantFailure
 from .datum import MonodromyDatum, _ad_matrix, end_datum  # noqa: F401 (re-export)
 from .exactla import (
-    BigradedPiece,
     ExactMatrix,
     Scalar,
     Subspace,
+    _row_space,
     bigraded_pieces,
     block_diag,
     exp_nilpotent,
@@ -58,41 +58,47 @@ class AnticommutationFailure(InternalInvariantFailure, ValueError):
 # doubly graded pieces of (W(N1), W(N1+N2))
 
 
+Generators = tuple[ExactMatrix, tuple[tuple[int, int], ...]]
+
+
 @lru_cache(maxsize=8)  # one datum at a time; a small cap bounds what a long run holds
-def _bilevel_pieces(n1: ExactMatrix, n2: ExactMatrix) -> tuple[BigradedPiece, ...]:
-    """Canonical generators of the double grading by (W(N₁), W(N₁+N₂)).
+def _bilevel_pieces(n1: ExactMatrix, n2: ExactMatrix) -> Generators:
+    """Canonical generators of the double grading by (W(N₁), W(N₁+N₂)), as
+    the rows of one matrix, and the (l₁, l₂) levels of each row.
 
     Multiplicities are allowed (unlike the keyed basis in the growth module).
     """
-    return bigraded_pieces(_weight_filtration(n1).filtration,
-                           _weight_filtration(n1 + n2).filtration)
+    pieces = bigraded_pieces(_weight_filtration(n1).filtration,
+                             _weight_filtration(n1 + n2).filtration)
+    return _stacked([(v, a, b) for a, b, reps in pieces for v in reps], n1.rows)
 
 
-def _span_passing(
-    dim: int,
-    generators: list[tuple[tuple[Scalar, ...], int, int]],
-    component: frozenset[int],
-    n1: int = 0,
-    n2: int = 0,
-) -> Subspace:
-    """Span of the generators that t₁^{n₁}t₂^{n₂} makes L² on D_ε."""
-    cols = [v for v, l1, l2 in generators if directional(component, n1, n2, l1, l2)]
-    return Subspace.from_columns(dim, cols)
+def _stacked(generators: list[tuple[tuple[Scalar, ...], int, int]], dim: int) -> Generators:
+    """(vector, l₁, l₂) triples as the rows of one matrix and their levels."""
+    return (ExactMatrix([v for v, _, _ in generators], cols=dim),
+            tuple((l1, l2) for _, l1, l2 in generators))
 
 
 # the form components of K⁰, K¹_dt₁, K¹_dt₂ and K², in that order
 _COMPONENTS = (frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2}))
 
 
-def _piece_generators(datum: MonodromyDatum) -> list[tuple[tuple[Scalar, ...], int, int]]:
-    return [
-        (v, a, b)
-        for a, b, reps in _bilevel_pieces(datum.n1, datum.n2)
-        for v in reps
-    ]
+def _component_spaces(generators: Generators, spans: dict[tuple[int, ...], Subspace],
+                      n1: int = 0, n2: int = 0) -> list[Subspace]:
+    """K⁰, K¹_dt₁, K¹_dt₂ and K²: each the span of the generator rows that
+    t₁^{n₁}t₂^{n₂} makes L² on D_ε for its component.  Equal selections of
+    rows share one subspace, kept in spans."""
+    G, levels = generators
+    out = []
+    for J in _COMPONENTS:
+        rows = tuple(i for i, (l1, l2) in enumerate(levels) if directional(J, n1, n2, l1, l2))
+        if rows not in spans:
+            spans[rows] = _row_space(G._rows_at(rows))
+        out.append(spans[rows])
+    return out
 
 
-def _frame_generators(datum: MonodromyDatum) -> list[tuple[tuple[Scalar, ...], int, int]]:
+def _frame_generators(datum: MonodromyDatum) -> Generators:
     """Generators with levels read off the bigraded frame of the model.
 
     Plain S(m)⊗S(n) factors use the α-basis and the exponent translation
@@ -114,7 +120,7 @@ def _frame_generators(datum: MonodromyDatum) -> list[tuple[tuple[Scalar, ...], i
         else:
             for vec in factor.embedding.columns():
                 out.append((vec, minimal_weight(vec, W1), minimal_weight(vec, Wt)))
-    return out
+    return _stacked(out, datum.dimension)
 
 
 # ----------------------------------------------------------------------
@@ -188,13 +194,12 @@ def build_stalk_complex(datum: MonodromyDatum, mode: str = LOCAL_SYSTEM) -> Stal
     where the frame mode is not (ROADMAP item 2).
     """
     if mode == LOCAL_SYSTEM:
-        generators = _piece_generators(datum)
+        generators = _bilevel_pieces(datum.n1, datum.n2)
     elif mode == HODGE_BUNDLE:
         generators = _frame_generators(datum)
     else:
         raise ValueError(f"unknown stalk mode {mode!r}")
-    spaces = [_span_passing(datum.dimension, generators, J) for J in _COMPONENTS]
-    return StalkComplex(*spaces, datum.n1, datum.n2, mode)
+    return StalkComplex(*_component_spaces(generators, {}), datum.n1, datum.n2, mode)
 
 
 def hypercohomology(c: StalkComplex) -> tuple[int, int, int]:
@@ -219,16 +224,16 @@ def truncated_global_model(datum: MonodromyDatum, degree: int) -> tuple[int, int
     """
     if degree < 0:
         raise ValueError("truncation degree must be nonnegative")
-    generators = _piece_generators(datum)
-    dim = datum.dimension
+    generators = _bilevel_pieces(datum.n1, datum.n2)
     # the spaces depend on the t-orders only through whether each is positive
     spaces: dict[tuple[int, int], list[Subspace]] = {}
-    ident = ExactMatrix.identity(dim)
+    spans: dict[tuple[int, ...], Subspace] = {}
+    ident = ExactMatrix.identity(datum.dimension)
     total = (0, 0, 0)
     for i, j in itertools.product(range(degree + 1), repeat=2):
         key = (min(i, 1), min(j, 1))
         if key not in spaces:
-            spaces[key] = [_span_passing(dim, generators, J, *key) for J in _COMPONENTS]
+            spaces[key] = _component_spaces(generators, spans, *key)
         cell = StalkComplex(*spaces[key], datum.n1 + ident.scale(i), datum.n2 + ident.scale(j))
         total = tuple(t + h for t, h in zip(total, hypercohomology(cell)))
     return total  # type: ignore[return-value]

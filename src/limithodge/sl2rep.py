@@ -33,6 +33,7 @@ from .exactla import (
     ScalarLike,
     Subspace,
     ZERO,
+    _power_chain,
     apply_to_subspace,
     bilinear,
     block_diag,
@@ -93,7 +94,8 @@ class Sl2PairAction:
     ``nminus[j]``, ``y[j]``, ``nplus[j]`` are the images of the lowering,
     semisimple, and raising generators of the j-th copy (j = 0, 1).  The
     constructor verifies the bracket relations of each triple and that
-    the two copies commute elementwise.
+    the two copies commute elementwise; :meth:`_preserved` skips that for
+    actions made from certified ones by maps that keep every bracket.
     """
 
     nminus: tuple[ExactMatrix, ExactMatrix]
@@ -112,6 +114,19 @@ class Sl2PairAction:
             for b in (self.nminus[1], self.y[1], self.nplus[1]):
                 if not a.commutator(b).is_zero():
                     raise ValueError("the two sl2 copies do not commute")
+
+    @classmethod
+    def _preserved(cls, nminus: tuple[ExactMatrix, ExactMatrix],
+                   y: tuple[ExactMatrix, ExactMatrix],
+                   nplus: tuple[ExactMatrix, ExactMatrix]) -> "Sl2PairAction":
+        """An action whose generators keep every bracket relation of certified
+        actions exactly (a conjugate P X P^-1, a block direct sum), so nothing
+        is re-checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "nminus", nminus)
+        object.__setattr__(out, "y", y)
+        object.__setattr__(out, "nplus", nplus)
+        return out
 
     @property
     def dim(self) -> int:
@@ -169,7 +184,8 @@ class Model:
         steps = [(p, subspace_sum(*(sub for (pp, _), sub in self.bigrading.items() if pp >= p)))
                  for p in ps]
         steps.append((ps[-1] + 1, Subspace.zero(self.dim)))
-        return Filtration(self.dim, Filtration.DECREASING, steps)
+        # step p holds every piece of step p + 1, so the steps are nested
+        return Filtration._nested(self.dim, Filtration.DECREASING, steps)
 
     def limit_filtration(self) -> Filtration:
         """The recentering twist exp(-i(N1- + N2-)) applied to hodge_filtration.
@@ -180,8 +196,9 @@ class Model:
         """
         twist = exp_nilpotent(self.action.nminus[0] + self.action.nminus[1], Scalar(0, -1))
         F = self.hodge_filtration()
+        # one invertible map takes nested steps to nested steps
         steps = [(p, apply_to_subspace(twist, sub)) for p, sub in F.steps]
-        return Filtration(self.dim, Filtration.DECREASING, steps)
+        return Filtration._nested(self.dim, Filtration.DECREASING, steps)
 
 
 def _binom(m: int, r: int) -> int:
@@ -270,17 +287,20 @@ def _etype_model(p: int, q: int) -> Model:
     return Model(p + q, bigrading, action, S, ("e1", "e2"))
 
 
-def _generatorwise(f: Callable[..., ExactMatrix], *actions: Sl2PairAction) -> Sl2PairAction:
-    """The pair action whose generators are f of the matching generators of the actions."""
+def _generatorwise(make: Callable[..., Sl2PairAction], f: Callable[..., ExactMatrix],
+                   *actions: Sl2PairAction) -> Sl2PairAction:
+    """The pair action, built by make, whose generators are f of the matching
+    generators of the actions."""
     gens = [f(*mats) for mats in zip(*(a.generators() for a in actions))]
     # generators() lists (N-, Y, N+) of copy 0, then of copy 1
-    return Sl2PairAction(tuple(gens[0::3]), tuple(gens[1::3]), tuple(gens[2::3]))
+    return make(tuple(gens[0::3]), tuple(gens[1::3]), tuple(gens[2::3]))
 
 
 def tensor_models(A: Model, B: Model) -> Model:
     """Tensor product model: actions by the Leibniz rule, forms by products."""
     ia, ib = ExactMatrix.identity(A.dim), ExactMatrix.identity(B.dim)
-    action = _generatorwise(lambda x, y: kron(x, ib) + kron(ia, y), A.action, B.action)
+    action = _generatorwise(Sl2PairAction, lambda x, y: kron(x, ib) + kron(ia, y),
+                            A.action, B.action)
     spans: dict[tuple[int, int], list[ExactMatrix]] = {}
     for (p1, q1), s1 in A.bigrading.items():
         for (p2, q2), s2 in B.bigrading.items():
@@ -333,7 +353,9 @@ def direct_sum_models(models: Sequence[Model]) -> Model:
     k = models[0].weight
     if any(mo.weight != k for mo in models):
         raise ValueError("direct summands must share a single weight")
-    action = _generatorwise(lambda *blocks: block_diag(blocks), *(mo.action for mo in models))
+    # blocks bracket blockwise, so every relation of the summands holds
+    action = _generatorwise(Sl2PairAction._preserved, lambda *blocks: block_diag(blocks),
+                            *(mo.action for mo in models))
     bigrading: dict[tuple[int, int], Subspace] = {}
     keys = sorted({key for mo in models for key in mo.bigrading})
     for key in keys:
@@ -347,7 +369,8 @@ def direct_sum_models(models: Sequence[Model]) -> Model:
 def transport_model(model: Model, P: ExactMatrix) -> Model:
     """Transport all structure through an invertible change of basis P."""
     Pinv = inverse(P)
-    action = _generatorwise(lambda X: P @ X @ Pinv, model.action)
+    # [P X P^-1, P Y P^-1] = P [X, Y] P^-1, so every relation is kept
+    action = _generatorwise(Sl2PairAction._preserved, lambda X: P @ X @ Pinv, model.action)
     bigrading = {key: apply_to_subspace(P, sub) for key, sub in model.bigrading.items()}
     S = Pinv.transpose() @ model.polarization @ Pinv
     return Model(model.weight, bigrading, action, S, model.labels)
@@ -607,6 +630,8 @@ def isotypic_decomposition(bigrading: Bigrading, action: Sl2PairAction,
     except ValueError as exc:
         raise DecompositionError(f"lowest-weight space is not invariant: {exc}")
     idk = ExactMatrix.identity(kappa)
+    # raising operators of a certified action are nilpotent; N^j is chain[min(j, e)]
+    raising = [_power_chain(X) for X in action.nplus]
 
     factors: list[IrreducibleFactor] = []
     accounted = 0
@@ -629,7 +654,8 @@ def isotypic_decomposition(bigrading: Bigrading, action: Sl2PairAction,
             m_left -= emn.dim
             mn_left = emn.dim
             accounted += emn.dim * (m + 1) * (n + 1)
-            apow = action.nplus[0].power(m) @ action.nplus[1].power(n)
+            apow = (raising[0][min(m, len(raising[0]) - 1)]
+                    @ raising[1][min(n, len(raising[1]) - 1)])
 
             def pairing(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
                 assert S is not None

@@ -562,6 +562,73 @@ def test_products_match_reference(operands):
         assert same == A and hash(same) == hash(A)
 
 
+def _glue_matrix(rng: random.Random, rows: int, cols: int) -> ExactMatrix:
+    """A real or Gaussian matrix whose entries are over denominators of its
+    own (1, 2 and 3, 5 and 7, or a large prime), a third of them zero."""
+    dens = rng.choice([(1,), (2, 3), (5, 7), (10**12 + 39,)])
+    imag = rng.random() < 0.5
+
+    def entry() -> Scalar:
+        if rng.random() < 0.3:
+            return ZERO
+        return Scalar(Fraction(rng.randint(-9, 9), rng.choice(dens)),
+                      Fraction(rng.randint(-9, 9), rng.choice(dens)) if imag else 0)
+
+    return ExactMatrix([[entry() for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def _glue_cases():
+    """(A, B, C, D, k): B shaped like A, C with A's rows, D with A's columns
+    and k an int.  Fixed cases first (mixed denominators with a real and a
+    Gaussian operand, 0-row and 0-column shapes, the scales 0, 1 and -1),
+    then seeded random ones with shapes down to 0x0."""
+    half = ExactMatrix([[Fraction(1, 2), 0, 3], [0, Fraction(-1, 3), 1]])
+    gaussian = ExactMatrix([[Scalar(Fraction(1, 6), 1), 0, 2], [I, 0, Fraction(5, 7)]])
+    whole = ExactMatrix([[1, -2, 0], [4, 0, 1]])
+    for k in (0, 1, -1, -3):
+        yield half, gaussian, whole, gaussian, k
+        yield whole, whole, half, whole, k
+    yield ExactMatrix.zeros(0, 3), ExactMatrix.zeros(0, 3), ExactMatrix.zeros(0, 2), half, -2
+    yield ExactMatrix.zeros(2, 0), ExactMatrix.zeros(2, 0), gaussian, ExactMatrix.zeros(3, 0), 0
+    rng = random.Random(25)
+    for _ in range(200):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        yield (_glue_matrix(rng, rows, cols), _glue_matrix(rng, rows, cols),
+               _glue_matrix(rng, rows, rng.randint(0, 4)),
+               _glue_matrix(rng, rng.randint(0, 4), cols),
+               rng.choice([0, 1, -1, rng.randint(-9, 9), rng.randint(-10**20, 10**20)]))
+
+
+def test_sums_stacks_and_int_scales_match_reference_and_leave_their_inputs_alone():
+    """+, -, hstack, vstack and scale(int), whose results may share rows with
+    their inputs: every result equals the Fraction reference and the matrix
+    built fresh from it, and after each result is row-reduced every input
+    keeps its hash and its rows (about 0.15 s)."""
+    for A, B, C, D, k in _glue_cases():
+        inputs = [(M, hash(M), M.den, [list(r) for r in M.re],
+                   None if M.im is None else [list(r) for r in M.im]) for M in (A, B, C, D)]
+        a, b, c, d = (_pairs(M.entries) for M in (A, B, C, D))
+        expected = {
+            "A + B": [[(x[0] + y[0], x[1] + y[1]) for x, y in zip(r, s)] for r, s in zip(a, b)],
+            "A - B": [[_psub(x, y) for x, y in zip(r, s)] for r, s in zip(a, b)],
+            "A | C": [r + s for r, s in zip(a, c)],
+            "A | C | A": [r + s + r for r, s in zip(a, c)],
+            "A / D / B": a + d + b,
+            "k A": [[(k * x[0], k * x[1]) for x in r] for r in a],
+        }
+        got = {"A + B": A + B, "A - B": A - B, "A | C": A.hstack(C),
+               "A | C | A": A.hstack(C, A), "A / D / B": vstack([A, D, B]), "k A": A.scale(k)}
+        for name, M in got.items():
+            assert _pairs(M.entries) == expected[name], name
+            fresh = ExactMatrix(M.entries, cols=M.cols)
+            assert (M.rows, M.cols) == (fresh.rows, fresh.cols) and M == fresh, name
+            assert hash(M) == hash(fresh), name
+            rank(M)
+        assert A.scale(k) == A.scale(Scalar(k))
+        for M, h, den, re, im in inputs:
+            assert (hash(M), M.den, M.re, M.im) == (h, den, re, im)
+
+
 @_differential
 @given(st.data())
 def test_contains_vector_matches_reference(data):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
 import pytest
 
+from limithodge import l2complex
 from limithodge.datum import MonodromyDatum, corpus_entry, end_datum, standard_corpus
-from limithodge.exactla import ExactMatrix, Subspace, image, kernel, rank
+from limithodge.exactla import ExactMatrix, Subspace, bigraded_pieces, image, kernel, rank
+from limithodge.growth import minimal_weight
 from limithodge.l2complex import (
     HODGE_BUNDLE,
     LOCAL_SYSTEM,
@@ -23,8 +26,11 @@ from limithodge.l2complex import (
     truncated_global_model,
     two_chart_cover,
 )
-from limithodge.sl2rep import build_model
+from limithodge.l2verdict import directional
+from limithodge.sl2rep import alpha_basis, build_model, isotypic_decomposition, transport_model
 from limithodge.weightfilt import NonCommuting, monodromy_weight_filtration
+
+from test_weightfilt import _shear
 
 
 def _corpus_by_label() -> dict:
@@ -202,6 +208,102 @@ def test_tate_coefficients_match_both_pipelines():
 
 # ----------------------------------------------------------------------
 # Koszul comparison
+
+
+# The transport of perfbench's cli-batch that makes the local-system stalk
+# complex of S(2)(x)S(1) ill-formed.
+_DEFECT_TRANSPORT = [[1, -1, -2, -4, 0, -2], [-1, 2, 0, 0, -1, 0], [0, 0, 1, 2, 0, 0],
+                     [-2, 2, 0, 1, -2, 0], [2, -2, -2, -4, 1, -2], [0, 0, 1, 2, 0, 1]]
+_FORM_COMPONENTS = (frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2}))
+_T_ORDERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _reference_generators(datum: MonodromyDatum, mode: str) -> list:
+    """(vector, l1, l2) of each stalk generator, from the public pieces."""
+    W1 = monodromy_weight_filtration(datum.n1)
+    Wt = monodromy_weight_filtration(datum.n1 + datum.n2)
+    if mode == LOCAL_SYSTEM:
+        return [(v, a, b) for a, b, reps in bigraded_pieces(W1.filtration, Wt.filtration)
+                for v in reps]
+    model, out = datum.model, []
+    for factor in isotypic_decomposition(model.bigrading, model.action, model.polarization):
+        if factor.kind == "S":
+            out += [(v, 2 * k - factor.m, 2 * (k + l) - factor.m - factor.n)
+                    for (k, l), v in alpha_basis(factor, model.action).items()]
+        else:
+            out += [(v, minimal_weight(v, W1), minimal_weight(v, Wt))
+                    for v in factor.embedding.columns()]
+    return out
+
+
+def _spaces_or_error(build):
+    try:
+        c = build()
+    except IllFormedComplex as exc:
+        return str(exc)
+    return (c.k0, c.k1_dt1, c.k1_dt2, c.k2)
+
+
+def _reference_outcome(datum: MonodromyDatum, mode: str, degree: int):
+    """The stalk spaces (or the IllFormedComplex text) with each generator
+    list spanned by Subspace.from_columns, and in local-system mode the
+    truncated model's cohomology (or its text) built the same way."""
+    generators = _reference_generators(datum, mode)
+
+    def spaces(i: int = 0, j: int = 0) -> list:
+        return [Subspace.from_columns(datum.dimension, [
+            v for v, l1, l2 in generators if directional(J, i, j, l1, l2)])
+            for J in _FORM_COMPONENTS]
+
+    stalk = _spaces_or_error(lambda: StalkComplex(*spaces(), datum.n1, datum.n2, mode))
+    if mode != LOCAL_SYSTEM:
+        return stalk
+    # a shifted cell is exact once well-formed, so its spaces are compared too
+    cells = [spaces(i, j) for i, j in _T_ORDERS]
+    total = (0, 0, 0)
+    try:
+        for i, j in itertools.product(range(degree + 1), repeat=2):
+            shift = [ExactMatrix.diagonal([t] * datum.dimension) for t in (i, j)]
+            cell = StalkComplex(*spaces(i, j), datum.n1 + shift[0], datum.n2 + shift[1])
+            total = tuple(t + h for t, h in zip(total, hypercohomology(cell)))
+    except IllFormedComplex as exc:
+        return stalk, cells, str(exc)
+    return stalk, cells, total
+
+
+def _outcome(datum: MonodromyDatum, mode: str, degree: int):
+    stalk = _spaces_or_error(lambda: build_stalk_complex(datum, mode))
+    if mode != LOCAL_SYSTEM:
+        return stalk
+    generators, spans = l2complex._bilevel_pieces(datum.n1, datum.n2), {}
+    cells = [l2complex._component_spaces(generators, spans, i, j) for i, j in _T_ORDERS]
+    try:
+        return stalk, cells, truncated_global_model(datum, degree)
+    except IllFormedComplex as exc:
+        return stalk, cells, str(exc)
+
+
+def test_stalk_spaces_match_spanning_each_generator_list():
+    """Both stalk modes and the truncated model (and the spaces of each of its
+    cells) against spans of the generator lists, on the corpus, a sheared
+    S(2)⊗S(1) and the defect transport, with one generator matrix formed per
+    datum (about 0.15 s)."""
+    s21 = build_model("S", 2, 1)
+    sheared = MonodromyDatum.from_model(transport_model(s21, _shear(random.Random(4), 6)))
+    defect = MonodromyDatum.from_model(transport_model(s21, ExactMatrix(_DEFECT_TRANSPORT)))
+    data = [*standard_corpus(), sheared, defect]
+    l2complex._bilevel_pieces.cache_clear()
+    for datum in data:
+        modes = [LOCAL_SYSTEM] + ([HODGE_BUNDLE] if datum.model is not None else [])
+        for mode in modes:
+            assert _outcome(datum, mode, 2) == _reference_outcome(datum, mode, 2), \
+                (datum.label, mode)
+    info = l2complex._bilevel_pieces.cache_info()
+    assert (info.misses, info.hits) == (len(data), 2 * len(data))
+    leaves = "first differential leaves the dt2 component"
+    stalk, _, truncated = _outcome(defect, LOCAL_SYSTEM, 2)
+    assert (stalk, truncated) == (leaves, leaves)
+    assert not isinstance(_outcome(defect, HODGE_BUNDLE, 2), str)
 
 
 def test_koszul_of_trivial_datum():

@@ -3,11 +3,23 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
+from collections import Counter
 
 import pytest
 
-from limithodge import sl2rep
-from limithodge.exactla import ExactMatrix, I, Scalar, Subspace, bilinear, conj_vector, scalar
+from limithodge import l2complex, sl2rep, weightfilt
+from limithodge.datum import MonodromyDatum, standard_corpus
+from limithodge.exactla import (
+    ExactMatrix,
+    Filtration,
+    I,
+    Scalar,
+    Subspace,
+    bilinear,
+    conj_vector,
+    scalar,
+)
+from limithodge.hodgestruct import MixedHodge, mhs_check, polarized_mhs_check
 from limithodge.sl2rep import (
     DecompositionError,
     NoSolution,
@@ -391,3 +403,62 @@ def test_action_constructor_rejects_noncommuting_pairs():
     # sanity: the genuine tensor pair passes
     model = build_model("S", 1, 1)
     assert s1.dim == s2.dim == 2 and model.action.dim == 4
+
+
+# ----------------------------------------------------------------------
+# the trusted constructors
+
+
+def _stalk_spaces(datum: MonodromyDatum, mode: str):
+    try:
+        c = l2complex.build_stalk_complex(datum, mode)
+    except l2complex.IllFormedComplex as exc:
+        return str(exc)
+    return (c.k0, c.k1_dt1, c.k1_dt2, c.k2)
+
+
+def _frame_path_outcomes() -> list:
+    """Factors, both mixed-structure reports and the stalk spaces in both
+    modes of the corpus models, a sheared S(2)⊗S(1) and S(1)⊗S(1) ⊕ H(1),
+    and the stalk spaces of the End data, all from cold memos."""
+    for memo in (sl2rep._standard_model, weightfilt._weight_filtration,
+                 l2complex._bilevel_pieces):
+        memo.cache_clear()
+    models = [d.model for d in standard_corpus(include_end=False)]
+    models.append(transport_model(build_model("S", 2, 1), _random_unipotent(random.Random(5), 6)))
+    models.append(direct_sum_models([build_model("S", 1, 1), build_model("H", 0, 0, l=1)]))
+    out: list = []
+    for model in models:
+        factors = isotypic_decomposition(model.bigrading, model.action, model.polarization)
+        total = model.action.nminus[0] + model.action.nminus[1]
+        W = monodromy_weight_filtration(total, model.weight).filtration
+        mixed = MixedHodge(W, model.limit_filtration())
+        datum = MonodromyDatum.from_model(model)
+        out.append(([(f.params(), f.embedding) for f in factors], mhs_check(mixed),
+                    polarized_mhs_check(mixed, total, model.polarization, model.weight),
+                    [_stalk_spaces(datum, mode)
+                     for mode in (l2complex.LOCAL_SYSTEM, l2complex.HODGE_BUNDLE)]))
+    out += [_stalk_spaces(d, l2complex.LOCAL_SYSTEM)
+            for d in standard_corpus() if d.model is None]
+    return out
+
+
+def test_trusted_constructors_build_only_what_the_checking_ones_accept(monkeypatch):
+    """Filtration._nested and Sl2PairAction._preserved skip checks that cannot
+    fail; routed through the checking constructors, the same path raises
+    nothing and gives the same answers (about 0.3 s)."""
+    trusted = _frame_path_outcomes()
+    calls: Counter = Counter()
+
+    def nested(cls, ambient_dim, direction, steps):
+        calls["nested"] += 1
+        return Filtration(ambient_dim, direction, steps)
+
+    def preserved(cls, nminus, y, nplus):
+        calls["preserved"] += 1
+        return Sl2PairAction(nminus, y, nplus)
+
+    monkeypatch.setattr(Filtration, "_nested", classmethod(nested))
+    monkeypatch.setattr(Sl2PairAction, "_preserved", classmethod(preserved))
+    assert _frame_path_outcomes() == trusted
+    assert calls["nested"] > 0 and calls["preserved"] == 2
