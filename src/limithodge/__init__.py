@@ -8,7 +8,7 @@ weightfilt   monodromy weight filtrations, cones, relative filtrations
 datum        the monodromy datum of the local model and the built-in corpus
 sl2rep       commuting sl2-pair representations and isotypic decomposition
 hodgestruct  (mixed) Hodge structures, polarizations, Deligne bigradings
-growth       Hodge-norm growth classes and adapted frames
+growth       Hodge-norm growth classes, Higgs-field classes and ordering changes
 l2verdict    the square-integrability classifier, without exact algebra
 l2complex    the finite L2 Dolbeault models and their cohomology
 dbarspec     dbar errors, metric and grid specs, corner rule, Hormander region and
@@ -47,3 +47,10 @@ class InternalInvariantFailure(LimithodgeError):
 
     code = 5
     kind = "internal-invariant-failure"
+
+
+def _integer(key: str, value: object) -> int:
+    """A JSON integer field: an int that is not a bool; a float or a string is rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value

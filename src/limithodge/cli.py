@@ -71,7 +71,7 @@ import sys
 import warnings
 from typing import TYPE_CHECKING, Any, Sequence
 
-from . import InternalInvariantFailure, LimithodgeError, PreconditionViolated
+from . import InternalInvariantFailure, LimithodgeError, PreconditionViolated, _integer
 
 if TYPE_CHECKING:
     from .datum import MonodromyDatum
@@ -126,13 +126,6 @@ def _read_payload(arg: str) -> tuple[dict | None, str]:
     if not isinstance(payload, dict):
         raise CliError(f"{arg}: top-level JSON value must be an object")
     return payload, hashlib.sha256(raw).hexdigest()[:16]
-
-
-def _integer(key: str, value: Any) -> int:
-    """A JSON integer field: an int that is not a bool; a float or a string is rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 def _model_from_spec(spec: Any) -> Model:
@@ -367,7 +360,7 @@ def _regions(flag: str) -> list[tuple[str, str]]:
 
 def _cmd_weight_filtration(args: argparse.Namespace) -> dict:
     datum, digest, _ = _load_datum(args.datum)
-    from .serialize import vector_to_json
+    from .serialize import filtration_to_json
     from .weightfilt import monodromy_weight_filtration
 
     if args.operator == "n1":
@@ -381,10 +374,7 @@ def _cmd_weight_filtration(args: argparse.Namespace) -> dict:
         "operator": args.operator,
         "center": args.center,
         "graded_dims": {str(l): d for l, d in sorted(W.graded_dims().items())},
-        "steps": [
-            {"l": l, "dim": sub.dim, "basis": [vector_to_json(c) for c in sub.basis_columns()]}
-            for l, sub in W.filtration.steps
-        ],
+        "steps": filtration_to_json(W.filtration)["steps"],
     }
     return _report("weight-filtration", digest, results)
 

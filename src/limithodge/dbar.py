@@ -53,6 +53,11 @@ _TINY = 1e-30
 # the relative change of the norm ratio per quadrature refinement that
 # verify_bound accepts as stable
 _STABILITY = 0.1
+# the order of the log-variable derivative stencils
+_STENCIL_ORDER = 8
+# the shortest truncated span S of the tail test and its trapezoid points per unit of s
+_TAIL_SPAN = 8.0
+_TAIL_POINTS_PER_UNIT = 64
 
 
 ModeKey = tuple[int, int]
@@ -169,17 +174,18 @@ def _stencil_weights(offsets: tuple[int, ...]) -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=32)
-def _diff_matrix(n: int, h: float, order: int = 8) -> np.ndarray:
+def _diff_matrix(n: int, h: float) -> np.ndarray:
     """Dense first-derivative matrix in the log variable (uniform step h).
 
-    Each row is an (order+1)-point stencil, centred where possible and
-    shifted at the edges; the weights solve the moment system exactly, so
-    the matrix differentiates polynomials of degree <= order without error.
+    Each row is an (_STENCIL_ORDER+1)-point stencil, centred where possible
+    and shifted at the edges; the weights solve the moment system exactly,
+    so the matrix differentiates polynomials of degree <= _STENCIL_ORDER
+    without error.
     """
-    points = order + 1
+    points = _STENCIL_ORDER + 1
     if n < points:
         raise ValueError("grid too small for the differentiation stencil")
-    half = order // 2
+    half = _STENCIL_ORDER // 2
     out = np.zeros((n, n))
     for i in range(n):
         lo = min(max(i - half, 0), n - points)
@@ -674,8 +680,7 @@ class OracleVerdict:
 
 
 @lru_cache(maxsize=256)  # a 1296-cell sweep asks for 38 distinct integrals
-def _tail_converges(t_order: int, log_exponent: float, *, epsilon: float = 0.1,
-                    base_span: float = 8.0, points_per_unit: int = 64) -> bool:
+def _tail_converges(t_order: int, log_exponent: float, *, epsilon: float = 0.1) -> bool:
     """Refinement-ratio test for integral_0^(1/e) r^(2 t_order - 1) (-log r)^p dr.
 
     In the variable s = -log r this is the tail integral of e^{-2 t s} s^p
@@ -685,8 +690,8 @@ def _tail_converges(t_order: int, log_exponent: float, *, epsilon: float = 0.1,
     """
     values = []
     for factor in (1, 2, 4):
-        span = base_span * factor
-        count = int(span * points_per_unit) + 1
+        span = _TAIL_SPAN * factor
+        count = int(span * _TAIL_POINTS_PER_UNIT) + 1
         s = np.linspace(1.0, 1.0 + span, count)
         integrand = np.exp(-2.0 * t_order * s) * s ** float(log_exponent)
         values.append(float(np.trapezoid(integrand, s)))

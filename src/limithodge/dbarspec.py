@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping
 
-from . import LimithodgeError, PreconditionViolated
+from . import LimithodgeError, PreconditionViolated, _integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -185,13 +185,6 @@ class CaseSpec:
     grid: RadialGrid
     degree: int
     modes: tuple[ModeSpec, ...]
-
-
-def _integer(key: str, value: object) -> int:
-    """A JSON integer field: an int that is not a bool; a float or a string is rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 def _mode_index(entry: Mapping, key: str, bound: float) -> int:

@@ -500,9 +500,6 @@ class ExactMatrix:
     def columns(self) -> list[tuple[Scalar, ...]]:
         return [self.column(j) for j in range(self.cols)]
 
-    def row(self, i: int) -> tuple[Scalar, ...]:
-        return self.entries[i]
-
     def _rows_at(self, indices: Sequence[int]) -> "ExactMatrix":
         return self._map(self.cols, lambda rows: [rows[i] for i in indices])
 
@@ -586,11 +583,6 @@ class ExactMatrix:
 
     def is_real(self) -> bool:
         return self.im is None
-
-    def trace(self) -> Scalar:
-        diagonal = range(min(self.rows, self.cols))
-        im = [0] if self.im is None else [sum(self.im[i][i] for i in diagonal)]
-        return _scalar_row(self.den, [sum(self.re[i][i] for i in diagonal)], im)[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -1146,11 +1138,6 @@ def induced_map_on_graded(M: ExactMatrix, W: Filtration, l: int, shift: int = 0)
         # reads "trivial" through the 0x0 shape, and its reports depend on it
         return ExactMatrix.zeros(0, 0)
     return W._graded_coordinates(tgt, M @ W.graded_basis(src))
-
-
-def induced_filtration_on_graded(V: Filtration, W: Filtration, l: int) -> Filtration:
-    """The filtration V induces on Gr_l(W); see :func:`induced_filtrations_on_graded`."""
-    return induced_filtrations_on_graded(V, W, [l])[l]
 
 
 def induced_filtrations_on_graded(V: Filtration, W: Filtration,

@@ -2,9 +2,9 @@
 
 Everything here is leading-order exponent bookkeeping: squared norms
 are tracked as |t1|^(2 n1) |t2|^(2 n2) (-log|t1|)^a (-log|t2|)^b on one
-of the two wedge regions, and all verdicts (boundedness of the Higgs
-field, L2-adaptedness of a frame, ordering-change triangularity) are
-decided exactly at that level.  No numeric norm is ever evaluated.
+of the two wedge regions, and both verdicts (boundedness of the Higgs
+field and ordering-change triangularity) are decided exactly at that
+level.  No numeric norm is ever evaluated.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .exactla import (
     Scalar,
     Subspace,
     bigraded_pieces,
-    rank,
     solve,
 )
 from .weightfilt import WeightFiltration, _weight_filtration, commuting_check
@@ -125,15 +124,6 @@ def _section(v: Sequence[Scalar], W1: WeightFiltration, W12: WeightFiltration,
     return MonodromizedSection(vv, (minimal_weight(vv, W1), minimal_weight(vv, W12)), label)
 
 
-def check_section(s: MonodromizedSection, N1: ExactMatrix, N2: ExactMatrix) -> None:
-    """Raise when the stored weights are not the minimal memberships."""
-    fresh = section_from_datum(s.flat_vector, N1, N2, s.label)
-    if fresh.weights != s.weights:
-        raise ValueError(
-            f"weights inconsistent with membership: stored {s.weights}, "
-            f"actual {fresh.weights}")
-
-
 def hodge_norm_class(s: MonodromizedSection, region: str = D_EPS) -> GrowthClass:
     """Squared Hodge-norm class of a monodromized section.
 
@@ -186,33 +176,6 @@ def theta_apply_class(s: MonodromizedSection, i: int, N1: ExactMatrix,
     bounded = (form.t_orders == source_class.t_orders
                and form.log_exps == source_class.log_exps)
     return ThetaClass(form, source_class, bounded, False)
-
-
-# ----------------------------------------------------------------------
-# L2-adapted frames
-
-
-def l2_adapted_check(frame: Sequence[MonodromizedSection],
-                     metric: ExactMatrix) -> bool:
-    """Leading-order sufficient criterion for an L2-adapted frame.
-
-    Sections of distinct growth classes decouple at leading order, so
-    the normalized leading Gram matrix is block diagonal over classes;
-    the criterion is exact invertibility of every block under the
-    reference-fiber metric.  Raises when the frame does not span.
-    """
-    d = len(frame[0].flat_vector) if frame else 0
-    span = Subspace.from_columns(d, [s.flat_vector for s in frame])
-    if span.dim != d:
-        raise ValueError("frame does not span the fiber")
-    by_class: dict[tuple, list[MonodromizedSection]] = {}
-    for s in frame:
-        by_class.setdefault(s.weights, []).append(s)
-    for group in by_class.values():
-        V = ExactMatrix.from_columns([s.flat_vector for s in group])
-        if rank(V.transpose() @ metric @ V.conjugate()) != len(group):
-            return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -294,31 +257,3 @@ def ordering_change(basisA: AlphaBasis, basisB: AlphaBasis) -> dict:
         transition[key] = row
     return {"transition": transition, "supported": not violations,
             "violations": violations}
-
-
-# ----------------------------------------------------------------------
-# graded exactness at class level
-
-
-def graded_exactness_check(classes: dict[tuple[int, int], GrowthClass],
-                           shape: tuple[int, int] | None = None) -> dict:
-    """Level counts of a frame against the Hodge-bundle split.
-
-    For each level p, ``f_dim`` counts the generators at level k + l >= p
-    and ``e_dim`` those at level exactly p.  With a ``shape`` (m, n), or
-    the shape spanned by the labels, the label grid is checked for
-    completeness; ``pass`` is that check.
-    """
-    if shape is None and classes:
-        shape = (max(k for k, _ in classes), max(l for _, l in classes))
-    missing = []
-    if shape is not None:
-        m, n = shape
-        missing = [(k, l) for k in range(m + 1) for l in range(n + 1)
-                   if (k, l) not in classes]
-    top = max((k + l for k, l in classes), default=-1)
-    levels = [{"p": p, "f_dim": sum(1 for k, l in classes if k + l >= p),
-               "e_dim": sum(1 for k, l in classes if k + l == p)}
-              for p in range(0, top + 1)]
-    return {"surjective": not missing, "missing": missing, "levels": levels,
-            "pass": not missing}

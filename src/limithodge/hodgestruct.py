@@ -392,19 +392,3 @@ def r_split_check(m: MixedHodge, report: dict | None = None) -> bool:
         if mirror is None or _conj_space(sub) != mirror:
             return False
     return True
-
-
-def bigrading_morphism_check(m: MixedHodge, X: ExactMatrix,
-                             r: int, s: int) -> bool:
-    """Compatibility of an (r, s)-morphism with the canonical bigrading.
-
-    Checks X(I^{p,q}) ⊆ sum of I^{p',q'} over p' <= p + r, q' <= q + s.
-    """
-    pieces = deligne_bigrading(m)
-    zero = Subspace.zero(m.ambient_dim)
-    for (p, q), sub in pieces.items():
-        target = subspace_sum(zero, *(other for (pp, qq), other in pieces.items()
-                                      if pp <= p + r and qq <= q + s))
-        if not maps_into(X, sub, target):
-            return False
-    return True

@@ -29,16 +29,6 @@ class L2Verdict:
     is_l2_d_eps_prime: bool
     is_l2: bool
 
-    @property
-    def orderings_disagree(self) -> bool:
-        """True when the two regional orderings give different answers.
-
-        Such generators are exactly the ones whose global status is
-        decided by the overlap of the two regions rather than by either
-        chart alone.
-        """
-        return self.is_l2_d_eps != self.is_l2_d_eps_prime
-
     def to_json(self) -> dict:
         return {
             "component": sorted(self.component),

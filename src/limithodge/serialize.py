@@ -15,10 +15,6 @@ from typing import Any, Sequence
 from .exactla import ExactMatrix, Filtration, Scalar, Subspace
 
 
-def rational_to_json(x: Fraction) -> str:
-    return str(x)
-
-
 def rational_from_json(s: Any) -> Fraction:
     if isinstance(s, (str, int)):
         try:
@@ -53,19 +49,6 @@ def vector_to_json(v: Sequence[Scalar]) -> list:
 
 def vector_from_json(obj: Sequence) -> tuple[Scalar, ...]:
     return tuple(scalar_from_json(a) for a in obj)
-
-
-def subspace_to_json(V: Subspace) -> dict:
-    return {
-        "ambient_dim": V.ambient_dim,
-        "dim": V.dim,
-        "basis": [vector_to_json(c) for c in V.basis_columns()],
-    }
-
-
-def subspace_from_json(obj: dict) -> Subspace:
-    return Subspace.from_columns(obj["ambient_dim"],
-                                 [vector_from_json(c) for c in obj["basis"]])
 
 
 def filtration_to_json(W: Filtration, center: int = 0) -> dict:

@@ -3,8 +3,7 @@
 Provides the standard model structures — the symmetric powers S(m) with
 their pair tensor products S(m) (x) S(n), the one-dimensional twists
 H(l), and the two-dimensional torus types E(p,q) — together with the
-semisimple grading operator attached to a bigrading, completion of a
-nilpotent/semisimple pair to an sl2 triple, the isotypic decomposition
+semisimple operator attached to a bigrading, the isotypic decomposition
 of a horizontal bigraded representation into those models, and the
 lowered monomial basis (the alpha basis) of a symmetric factor.
 
@@ -32,7 +31,6 @@ from .exactla import (
     Scalar,
     ScalarLike,
     Subspace,
-    ZERO,
     _power_chain,
     apply_to_subspace,
     bilinear,
@@ -46,7 +44,6 @@ from .exactla import (
     maps_into,
     matrix_between,
     rank,
-    solve,
     subspace_sum,
     vstack,
 )
@@ -60,10 +57,6 @@ class NotHorizontal(PreconditionViolated, ValueError):
 
 class NotIsometric(PreconditionViolated, ValueError):
     """The action is not by infinitesimal isometries of the given form."""
-
-
-class NoSolution(PreconditionViolated, ValueError):
-    """The sl2-triple completion system is inconsistent."""
 
 
 class WrongKind(PreconditionViolated, ValueError):
@@ -402,39 +395,6 @@ def operator_from_bigrading(bigrading: Bigrading,
     except ValueError:
         raise ValueError("bigrading pieces overlap") from None
     return B @ ExactMatrix.diagonal(eigs) @ Binv
-
-
-def ytilde_from_bigrading(bigrading: Bigrading, k: int) -> ExactMatrix:
-    """The grading operator acting by (p + q - k) on the (p,q) piece."""
-    return operator_from_bigrading(bigrading, lambda p, q: p + q - k)
-
-
-def complete_sl2_triple(N: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
-    """Solve for N+ with [Y, N+] = 2 N+ and [N+, N] = Y.
-
-    The solution of the combined linear system is unique when it exists
-    (the difference of two solutions is a lowest-weight vector of the
-    adjoint action in a positive Y-weight, which is impossible), so no
-    choices are made here.  NoSolution is raised when the preconditions
-    fail or the system is inconsistent.
-    """
-    d = N.rows
-    if N.cols != d or Y.rows != d or Y.cols != d:
-        raise ValueError("square matrices of equal size required")
-    if not (Y.commutator(N) + N.scale(2)).is_zero():
-        raise NoSolution("[Y, N] != -2N")
-    # so N is nilpotent: every N^k = -[Y, N^k]/(2k) is traceless
-    # unknowns x_{ij} indexed i*d + j, so X -> AXB is kron(A, B^T)
-    one = ExactMatrix.identity(d)
-    weight = kron(Y, one) - kron(one, Y.transpose()) - ExactMatrix.identity(d * d).scale(2)
-    bracket = kron(one, N.transpose()) - kron(N, one)
-    # [Y, X] - 2X = 0 and XN - NX = Y
-    sol = solve(vstack([weight, bracket]), [ZERO] * (d * d) + [a for row in Y.entries for a in row])
-    if sol is None:
-        raise NoSolution("the completion system is inconsistent")
-    Nplus = ExactMatrix([[sol[i * d + j] for j in range(d)] for i in range(d)], cols=d)
-    _check_triple(N, Y, Nplus)
-    return Nplus
 
 
 # ----------------------------------------------------------------------

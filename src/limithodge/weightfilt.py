@@ -54,7 +54,6 @@ class WeightFiltration:
     """
 
     filtration: Filtration
-    nilpotent: ExactMatrix
     center: int
 
     @property
@@ -71,13 +70,7 @@ class WeightFiltration:
 
     def recenter(self, center: int) -> "WeightFiltration":
         """The same filtration re-indexed so the symmetry center moves."""
-        return WeightFiltration(self.filtration.shift(center - self.center),
-                                self.nilpotent, center)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeightFiltration):
-            return NotImplemented
-        return self.center == other.center and self.filtration == other.filtration
+        return WeightFiltration(self.filtration.shift(center - self.center), center)
 
 
 def _nilpotent_powers(N: ExactMatrix) -> tuple[ExactMatrix, ...]:
@@ -150,7 +143,7 @@ def _weight_filtration(N: ExactMatrix) -> WeightFiltration:
             break
     filt = Filtration._nested(d, Filtration.INCREASING, steps)
     _verify_weight_axioms(N, filt)
-    return WeightFiltration(filt, N, 0)
+    return WeightFiltration(filt, 0)
 
 
 def _verify_weight_axioms(N: ExactMatrix, filt: Filtration) -> None:

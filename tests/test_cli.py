@@ -634,7 +634,6 @@ _ERROR_CLASSES = [
     ("weightfilt", "AxiomFailure", RuntimeError, 5),
     ("sl2rep", "NotHorizontal", ValueError, 3),
     ("sl2rep", "NotIsometric", ValueError, 3),
-    ("sl2rep", "NoSolution", ValueError, 3),
     ("sl2rep", "WrongKind", ValueError, 3),
     ("sl2rep", "DecompositionError", RuntimeError, 5),
     ("hodgestruct", "NotAHodgeFiltration", ValueError, 3),

@@ -13,7 +13,8 @@ from limithodge.exactla import (
     apply_to_subspace,
     exp_nilpotent,
     image,
-    induced_filtration_on_graded,
+    induced_filtrations_on_graded,
+    maps_into,
     subspace_sum,
 )
 from limithodge.hodgestruct import (
@@ -21,7 +22,6 @@ from limithodge.hodgestruct import (
     NotAHodgeFiltration,
     NotPolarized,
     PolarizationForm,
-    bigrading_morphism_check,
     deligne_bigrading,
     filtration_to_bigrading,
     mhs_check,
@@ -222,9 +222,14 @@ def test_skewed_filtration_breaks_real_splitting():
 
 
 def test_nilpotent_is_minus_one_morphism_of_splitting():
+    # N maps I^{p,q} into the sum of the I^{p',q'} with p' <= p + r, q' <= q + r
     mixed, n, _ = _limit_mixed(2)
-    assert bigrading_morphism_check(mixed, n, -1, -1) is True
-    assert bigrading_morphism_check(mixed, n, -2, -2) is False
+    pieces, zero = deligne_bigrading(mixed), Subspace.zero(mixed.ambient_dim)
+    def shifts_by(r: int) -> bool:
+        return all(maps_into(n, sub, subspace_sum(zero, *(t for (a, b), t in pieces.items()
+                                                          if a <= p + r and b <= q + r)))
+                   for (p, q), sub in pieces.items())
+    assert shifts_by(-1) and not shifts_by(-2)
 
 
 def test_canonical_bigrading_tries_only_weights_with_a_graded_piece(monkeypatch):
@@ -312,7 +317,7 @@ def test_hodge_and_deligne_pieces_match_intersections_of_bases(label, transport)
     limit = model.limit_filtration()
     # a pure filtration, a mixed one read as pure, and each induced graded piece
     for F, k in [(model.hodge_filtration(), model.weight), (limit, model.weight),
-                 *((induced_filtration_on_graded(limit, w, l), l) for l in w.graded_range())]:
+                 *((induced_filtrations_on_graded(limit, w, [l])[l], l) for l in w.graded_range())]:
         assert _pieces_or_none(F, k) == _reference_bigrading(F, k)
     twist = exp_nilpotent(n, I)
     twisted = Filtration(model.dim, Filtration.DECREASING,

@@ -45,7 +45,6 @@ def test_zero_form_with_second_weight_dropped_is_l2_on_first_wedge():
     v = classify_l2(frozenset(), 0, 0, 0, -2)
     assert v.is_l2_d_eps is True
     assert v.is_l2_d_eps_prime is False
-    assert v.orderings_disagree is True
 
 
 def test_dt1_form_needs_first_weight_below_minus_two():

@@ -22,17 +22,15 @@ from limithodge.exactla import (
 from limithodge.hodgestruct import MixedHodge, mhs_check, polarized_mhs_check
 from limithodge.sl2rep import (
     DecompositionError,
-    NoSolution,
     NotHorizontal,
     Sl2PairAction,
     WrongKind,
     alpha_basis,
     build_model,
-    complete_sl2_triple,
     direct_sum_models,
     isotypic_decomposition,
+    operator_from_bigrading,
     transport_model,
-    ytilde_from_bigrading,
 )
 from limithodge.sl2rep import _orthogonalize, _verify_decomposition
 from limithodge.weightfilt import monodromy_weight_filtration
@@ -142,12 +140,12 @@ def test_hodge_and_limit_filtrations_of_s1():
 
 
 # ----------------------------------------------------------------------
-# Y from a bigrading, triple completion
+# grading operators from a bigrading
 
 
 def test_ytilde_vanishes_on_pure_structure():
     model = build_model("S", 1)
-    assert ytilde_from_bigrading(model.bigrading, 1).is_zero()
+    assert operator_from_bigrading(model.bigrading, lambda p, q: p + q - 1).is_zero()
 
 
 def test_ytilde_on_centered_splitting():
@@ -156,7 +154,7 @@ def test_ytilde_on_centered_splitting():
         (0, 0): Subspace.from_columns(3, [[0, 1, 0]]),
         (1, 1): Subspace.from_columns(3, [[0, 0, 1]]),
     }
-    y = ytilde_from_bigrading(split, 0)
+    y = operator_from_bigrading(split, lambda p, q: p + q)
     assert y == ExactMatrix.diagonal([-2, 0, 2])
 
 
@@ -166,33 +164,7 @@ def test_ytilde_rejects_overlapping_pieces():
         (1, 1): Subspace.from_columns(2, [[1, 0]]),
     }
     with pytest.raises(ValueError):
-        ytilde_from_bigrading(overlap, 0)
-
-
-def test_complete_sl2_triple_on_s1():
-    model = build_model("S", 1)
-    nm, y = model.action.nminus[0], model.action.y[0]
-    nplus = complete_sl2_triple(nm, y)
-    assert nplus == model.action.nplus[0]
-    assert nplus.apply([1, 0]) == (scalar(0), scalar(1))
-
-
-def test_complete_sl2_triple_degenerate():
-    z = ExactMatrix.zeros(2, 2)
-    assert complete_sl2_triple(z, z).is_zero()
-
-
-def test_complete_sl2_triple_rejects_bad_bracket():
-    n = ExactMatrix([[0, 1], [0, 0]])
-    with pytest.raises(NoSolution):
-        complete_sl2_triple(n, ExactMatrix.identity(2))
-
-
-def test_complete_sl2_triple_rejects_a_non_nilpotent_n_by_the_bracket():
-    # [Y, I] = 0 for every Y, so N = I fails [Y, N] = -2N before anything else
-    for Y in (ExactMatrix.zeros(2, 2), ExactMatrix([[1, 0], [0, -1]])):
-        with pytest.raises(NoSolution, match=re.escape("[Y, N] != -2N")):
-            complete_sl2_triple(ExactMatrix.identity(2), Y)
+        operator_from_bigrading(overlap, lambda p, q: p + q)
 
 
 # ----------------------------------------------------------------------

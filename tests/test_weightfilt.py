@@ -23,7 +23,6 @@ from limithodge.exactla import (
     bigraded_pieces,
     determinant,
     image,
-    induced_filtration_on_graded,
     induced_filtrations_on_graded,
     induced_map_on_graded,
     inverse,
@@ -251,7 +250,7 @@ def _reference_pieces(W1: Filtration, W2: Filtration) -> tuple:
 
 
 def _reference_induced(V: Filtration, W: Filtration, l: int) -> list:
-    """The steps of induced_filtration_on_graded, each the graded coordinates of
+    """The steps of induced_filtrations_on_graded at l, each the graded coordinates of
     V_p ∩ W_l taken by _intersect."""
     order = V.indices()
     if V.direction == Filtration.DECREASING:
@@ -308,17 +307,17 @@ def test_meets_in_the_adapted_basis_match_intersect(case):
     for first in (w1, w2):
         assert bigraded_pieces(first, cone) == _reference_pieces(first, cone)
     for k in w1.graded_range():
-        assert [(p, sub.basis) for p, sub in induced_filtration_on_graded(cone, w1, k).steps] \
+        assert [(p, sub.basis) for p, sub in induced_filtrations_on_graded(cone, w1, [k])[k].steps] \
             == _reference_induced(cone, w1, k)
     # the decreasing limit filtration over a recentred W, as mhs-check meets them
     recentred = monodromy_weight_filtration(n1 + n2, center=model.weight).filtration
     F = model.limit_filtration()
     for l in recentred.graded_range():
-        assert [(p, sub.basis) for p, sub in induced_filtration_on_graded(F, recentred, l).steps] \
+        assert [(p, sub.basis) for p, sub in induced_filtrations_on_graded(F, recentred, [l])[l].steps] \
             == _reference_induced(F, recentred, l)
     # and W decreasing, where the rows beyond p are those below it
     for p in F.graded_range():
-        assert [(l, sub.basis) for l, sub in induced_filtration_on_graded(cone, F, p).steps] \
+        assert [(l, sub.basis) for l, sub in induced_filtrations_on_graded(cone, F, [p])[p].steps] \
             == _reference_induced(cone, F, p)
 
 
